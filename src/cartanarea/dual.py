@@ -3,7 +3,9 @@
 A ``Dual`` carries a value and one directional derivative.  Components may
 be floats, numpy arrays (vectorised evaluation over a grid of points), or
 ``Dual`` instances again -- nesting two levels yields exact second
-derivatives.  The module-level math functions (``sqrt``, ``exp``, ...)
+derivatives.  A scalar value with a vector dual part carries several
+directional derivatives at once (the gradients in ``lagrangian`` seed
+every entry with its own unit vector).  The module-level math functions (``sqrt``, ``exp``, ...)
 dispatch on type so the same closure can be evaluated on plain numbers,
 arrays, or seeded duals.
 """

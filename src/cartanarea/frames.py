@@ -205,13 +205,12 @@ def unit_normal_dual(F: HomogenizedLagrangian, x, xi, metric_det: float) -> np.n
     return np.sqrt(metric_det) * xi / value
 
 
-def normal_length(F: HomogenizedLagrangian, x, xi, metric) -> float:
+def normal_length(metric) -> float:
     """Length of the (unnormalized) hypersurface normal: sqrt(det g).
 
-    The arguments F, x, xi identify the hypersurface element being
-    measured; the length depends only on the metric determinant, which
-    is the content of the statement.  Raises
-    :class:`NotPositiveDefinite` for a non-SPD metric.
+    The length depends only on the metric determinant, which is the
+    content of the statement, so the element being measured is not an
+    argument.  Raises :class:`NotPositiveDefinite` for a non-SPD metric.
     """
     g = np.asarray(getattr(metric, "components", metric), dtype=float)
     try:

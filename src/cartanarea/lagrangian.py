@@ -83,17 +83,13 @@ def grad_q(L: LagrangianField, x, z, q) -> np.ndarray:
     """dL/dq as an (n-p, p) array."""
     x, z, q = _coerce_args(L, x, z, q)
     m, p = L.codim, L.p
-    out = np.empty((m, p))
     with np.errstate(all="ignore"):
         if L.supports_dual:
-            for i in range(m):
-                for j in range(p):
-                    qd = [
-                        [Dual(q[a, b], 1.0) if (a == i and b == j) else q[a, b] for b in range(p)]
-                        for a in range(m)
-                    ]
-                    out[i, j] = _dual_part(L.func(list(x), list(z), qd))
+            seeded = _seeded(q)
+            rows = [seeded[i * p : (i + 1) * p] for i in range(m)]
+            out = _dual_part(L.func(list(x), list(z), rows), q.shape)
         else:
+            out = np.empty((m, p))
             for i in range(m):
                 for j in range(p):
                     out[i, j] = _fd_derivative(
@@ -107,13 +103,11 @@ def grad_z(L: LagrangianField, x, z, q) -> np.ndarray:
     """dL/dz as a vector of length n-p."""
     x, z, q = _coerce_args(L, x, z, q)
     m = L.codim
-    out = np.empty(m)
     with np.errstate(all="ignore"):
         if L.supports_dual:
-            for i in range(m):
-                zd = [Dual(z[a], 1.0) if a == i else z[a] for a in range(m)]
-                out[i] = _dual_part(L.func(list(x), zd, [list(r) for r in q]))
+            out = _dual_part(L.func(list(x), _seeded(z), [list(r) for r in q]), z.shape)
         else:
+            out = np.empty(m)
             for i in range(m):
                 def f(v, i=i):
                     zz = z.copy()
@@ -128,13 +122,11 @@ def grad_z(L: LagrangianField, x, z, q) -> np.ndarray:
 def grad_x(L: LagrangianField, x, z, q) -> np.ndarray:
     """dL/dx as a vector of length p."""
     x, z, q = _coerce_args(L, x, z, q)
-    out = np.empty(L.p)
     with np.errstate(all="ignore"):
         if L.supports_dual:
-            for j in range(L.p):
-                xd = [Dual(x[a], 1.0) if a == j else x[a] for a in range(L.p)]
-                out[j] = _dual_part(L.func(xd, list(z), [list(r) for r in q]))
+            out = _dual_part(L.func(_seeded(x), list(z), [list(r) for r in q]), x.shape)
         else:
+            out = np.empty(L.p)
             for j in range(L.p):
                 def f(v, j=j):
                     xx = x.copy()
@@ -423,13 +415,24 @@ def _plain_list(xi, n):
     return list(xi)
 
 
-def _dual_part(result):
+def _seeded(values):
+    """Flat list of duals: entry k of ``values`` seeded with the unit vector e_k.
+
+    One evaluation on these duals carries the whole gradient in its dual
+    part, which :func:`_dual_part` reads back.
+    """
+    eye = np.eye(values.size)
+    return [Dual(v, e) for v, e in zip(values.ravel().tolist(), eye)]
+
+
+def _dual_part(result, shape=()):
     value = dual.value(result)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFinite("Lagrangian evaluated non-finite during differentiation")
+    out = np.zeros(shape)
     if isinstance(result, Dual):
-        return float(dual.value(result.du))
-    return 0.0
+        out.flat = dual.value(result.du)
+    return out
 
 
 def _fd_derivative(f, v):
@@ -447,5 +450,5 @@ def _eval_replaced(L, x, z, q, ij, v):
 
 
 def _require_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFinite(f"{what} evaluated non-finite")

@@ -13,6 +13,13 @@ region bounded by the displaced edge curves is mapped back to the
 original box by a transfinite (Coons) patch and the integrand is pulled
 back through that map, so the re-solve runs on the exact deformed
 domain with no boundary re-projection error.
+
+One boundary sampler per graph (:class:`_BoundaryData`) feeds both
+re-fits, the boundary formula and the graph-slope lookup of the
+fields.  It holds the Dirichlet data (the user's callable, else the ring
+values) and the ring slopes, interpolates them along each edge by local
+cubics that are exact at the nodes, and turns run-parameters on an edge
+into base points, fiber values and displacements.
 """
 
 import math
@@ -25,7 +32,6 @@ from .errors import ChartExit, NoConvergence, NonFinite, NotCritical, SingularJa
 from .extremal import (
     GridGraph,
     action,
-    deriv4,
     el_residual,
     grid_axes,
     node_slopes,
@@ -110,35 +116,23 @@ def first_variation_boundary(L, graph: GridGraph, spec: DeformationSpec) -> floa
         raise NotCritical(
             f"graph residual {res:.3e} exceeds 1e-10*(1+|A|); formula is off-shell"
         )
-    axes = graph.axes
+    bd = _BoundaryData(graph)
     if graph.p == 1:
-        slopes = _boundary_slopes4(graph)
         total = 0.0
         for side, nu in ((0, -1.0), (1, 1.0)):
-            idx = 0 if side == 0 else -1
-            x = np.array([axes[0][idx]])
-            fval = graph.values[idx]
-            point = np.concatenate([x, fval])
-            G = _flux_vector(L, x, fval, slopes[side], spec.displacement(point))
-            total += nu * G[0]
+            x, z, d = bd.end(spec, side)
+            total += nu * _flux_vector(L, x, z, bd.end_slopes[side], d)[0]
         return float(total)
     total = 0.0
-    for edge in _edges(graph.resolution):
+    for edge in _EDGES:
         nu_sign = -1.0 if edge.side == 0 else 1.0
-        run_axis = edge.run_axis
-        r_ticks = axes[run_axis]
-        h = graph.steps[run_axis]
-        vals = graph.values[edge.ring_indexer(graph.resolution)]
-        qvals = _edge_slopes4(graph, edge)
-        integrand = np.empty(len(r_ticks))
-        for k, r in enumerate(r_ticks):
-            x = np.empty(2)
-            x[edge.normal_axis] = axes[edge.normal_axis][0 if edge.side == 0 else -1]
-            x[run_axis] = r
-            point = np.concatenate([x, vals[k]])
-            G = _flux_vector(L, x, vals[k], qvals[k], spec.displacement(point))
-            integrand[k] = nu_sign * G[edge.normal_axis]
-        total += _simpson(integrand, h)
+        r = graph.axes[edge.run_axis]
+        x, z, d = bd.sample(spec, edge, r)
+        q = bd.slopes(edge, r)
+        integrand = np.array(
+            [nu_sign * _flux_vector(L, *args)[edge.normal_axis] for args in zip(x, z, q, d)]
+        )
+        total += _simpson(integrand, graph.steps[edge.run_axis])
     return total
 
 
@@ -178,9 +172,9 @@ def normality_scan(L, graph: GridGraph, candidate_fields, boundary_data=None) ->
 
 
 def graph_slopes_fn(graph: GridGraph) -> Callable:
-    """Boundary slope lookup from a solved graph (one-sided stencils)."""
-    interp = _BoundarySlopes(graph)
-    return interp
+    """Boundary slope lookup from a solved graph (one-sided stencils,
+    cubic interpolation along each edge)."""
+    return _BoundaryData(graph)
 
 
 def frame_field(L, slopes_fn: Callable, weights=None) -> Callable:
@@ -275,8 +269,14 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     """
     A0 = action(L, base).value
     domain, resolution = base.domain, base.resolution
-    g0 = _BoundaryValues(base, boundary_data)
-    slopes = _BoundarySlopes(base)
+    bd = _BoundaryData(base, boundary_data)
+
+    def coarse_data(stride):
+        # The user's callable, else the base nodes the coarser grid keeps.
+        if bd.dirichlet is not None:
+            return bd.dirichlet
+        return base.values[(slice(None, None, stride),) * base.p]
+
     coarse_res = tuple((r + 1) // 2 for r in resolution)
     use_pair = all(r >= 5 and (rf - 1) == 2 * (r - 1) for r, rf in zip(coarse_res, resolution))
     diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in domain))
@@ -288,10 +288,10 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
         try:
             actions = {}
             for t in (-2.0 * h, -h, h, 2.0 * h):
-                fine = _deformed_action(L, g0, slopes, domain, resolution, spec, t)
+                fine = _deformed_action(L, bd, domain, resolution, spec, t)
                 solves += 1
                 if use_pair:
-                    coarse = _deformed_action(L, g0, slopes, domain, coarse_res, spec, t)
+                    coarse = _deformed_action(L, bd, domain, coarse_res, spec, t)
                     solves += 1
                     actions[t] = ((4.0 * fine - coarse) / 3.0, fine, coarse)
                 else:
@@ -317,13 +317,13 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
         # The formula's bias (one-sided slopes of the discrete solve, with
         # corner pollution) needs two extrapolation levels to come out
         # below the oracle's noise.
-        coarse_base = solve_dirichlet(L, g0, domain, coarse_res)
+        coarse_base = solve_dirichlet(L, coarse_data(2), domain, coarse_res)
         b_coarse = first_variation_boundary(L, coarse_base, spec)
         level1 = (4.0 * bval - b_coarse) / 3.0
         solves += 1
         coarse2 = tuple((r + 1) // 2 for r in coarse_res)
         if all(r >= 5 and (rf - 1) == 2 * (r - 1) for r, rf in zip(coarse2, coarse_res)):
-            base2 = solve_dirichlet(L, g0, domain, coarse2)
+            base2 = solve_dirichlet(L, coarse_data(4), domain, coarse2)
             b2 = first_variation_boundary(L, base2, spec)
             level1_coarse = (4.0 * b_coarse - b2) / 3.0
             bval = (8.0 * level1 - level1_coarse) / 7.0
@@ -359,24 +359,6 @@ def _flux_vector(L, x, z, q, X):
     return boundary_flux(grad_q(L, x, z, q), L(x, z, q), q, X)
 
 
-def _boundary_slopes4(graph: GridGraph):
-    """(p=1) endpoint slopes by one-sided fourth-order stencils."""
-    d = deriv4(graph.values, graph.steps[0])
-    return (d[0][:, None], d[-1][:, None])
-
-
-def _edge_slopes4(graph: GridGraph, edge) -> np.ndarray:
-    """Fourth-order slope field along one edge, shape (n_run, m, p)."""
-    ring_idx = edge.ring_indexer(graph.resolution)
-    out = np.empty((graph.resolution[edge.run_axis], graph.codim, graph.p))
-    ring = graph.values[ring_idx]
-    out[:, :, edge.run_axis] = deriv4(ring, graph.steps[edge.run_axis])
-    idx = 0 if edge.side == 0 else graph.resolution[edge.normal_axis] - 1
-    transverse = deriv4(graph.values, graph.steps[edge.normal_axis], axis=edge.normal_axis)
-    out[:, :, edge.normal_axis] = np.take(transverse, idx, axis=edge.normal_axis)
-    return out
-
-
 def _simpson(vals, h):
     """Composite Simpson rule; falls back to trapezoid on odd intervals."""
     n = len(vals) - 1
@@ -403,94 +385,118 @@ class _Edge:
         return tuple(idx)
 
 
-def _edges(resolution):
-    return (
-        _Edge("xmin", 0, 0, 1),
-        _Edge("xmax", 0, 1, 1),
-        _Edge("ymin", 1, 0, 0),
-        _Edge("ymax", 1, 1, 0),
+_EDGES = (
+    _Edge("xmin", 0, 0, 1),
+    _Edge("xmax", 0, 1, 1),
+    _Edge("ymin", 1, 0, 0),
+    _Edge("ymax", 1, 1, 0),
+)
+
+
+def _lagrange_cubics(nodes) -> np.ndarray:
+    """Entry [a, k]: coefficient of u^k in the Lagrange cubic of node a."""
+    return np.array(
+        [np.poly(np.delete(nodes, a))[::-1] / np.prod(nodes[a] - np.delete(nodes, a)) for a in range(4)]
     )
 
 
-class _BoundaryValues:
-    """Continuous Dirichlet data on the original box boundary.
+# Indexed by -o for the stencil ticks o, o+1, o+2, o+3 around u = 0.
+_CUBIC_BASES = np.array([_lagrange_cubics(np.arange(4) - k) for k in range(4)])
 
-    Prefers the user's callable; falls back to linear interpolation of
-    the graph's ring values.
+
+def _cubic_table(ring) -> np.ndarray:
+    """Cubic coefficients of data sampled on uniform ticks, one row per tick.
+
+    Row i holds, in u = (r - t_i)/h, the monomial coefficients of the
+    Lagrange cubic through the four ticks nearest [t_i, t_(i+1)] (one-sided
+    at the ends); the last row re-centres the last interval's cubic on the
+    last tick.  The constant coefficient of row i is exactly the sample
+    at t_i, so every tick is reproduced exactly.  Shape (*ring.shape, 4).
+    """
+    ticks = np.arange(len(ring))
+    starts = np.clip(ticks - 1, 0, len(ring) - 4)
+    stencils = ring[starts[:, None] + np.arange(4)]
+    return np.einsum("rak,ra...->r...k", _CUBIC_BASES[ticks - starts], stencils)
+
+
+class _BoundaryData:
+    """Dirichlet values and slopes of a graph on its box boundary.
+
+    Built once per graph.  Values come from the user's Dirichlet callable
+    when one is given, else from the ring values; slopes come from the
+    ring of :func:`node_slopes`.  Along an edge both are interpolated by
+    the local cubics of :func:`_cubic_table`, exact at the nodes.  Called
+    with one point, the object returns the slopes on the nearest edge
+    (the lookup that :func:`graph_slopes_fn` hands to the fields); the
+    re-fit asks for arrays of run-parameters on a known edge.
     """
 
     def __init__(self, graph: GridGraph, boundary_data=None):
-        self.graph = graph
-        self.callable = boundary_data if callable(boundary_data) else None
-        self.axes = graph.axes
-
-    def __call__(self, x) -> np.ndarray:
-        g = self.graph
-        if self.callable is not None:
-            return np.broadcast_to(
-                np.asarray(self.callable(np.asarray(x, dtype=float)), dtype=float),
-                (g.codim,),
-            ).copy()
-        if g.p == 1:
-            lo, hi = g.domain[0]
-            side = 0 if abs(x[0] - lo) <= abs(x[0] - hi) else -1
-            return g.values[side].copy()
-        edge = _nearest_edge(g, x)
-        ring = g.values[edge.ring_indexer(g.resolution)]
-        r = float(x[edge.run_axis])
-        ticks = self.axes[edge.run_axis]
-        return np.array(
-            [np.interp(r, ticks, ring[:, i]) for i in range(g.codim)]
-        )
-
-
-class _BoundarySlopes:
-    """Boundary slope field of a graph, linearly interpolated per edge."""
-
-    def __init__(self, graph: GridGraph):
-        self.graph = graph
-        self.slopes = node_slopes(graph)
-        self.axes = graph.axes
+        self.p, self.codim, self.domain = graph.p, graph.codim, graph.domain
+        self.dirichlet = boundary_data if callable(boundary_data) else None
+        slopes = node_slopes(graph)
+        if graph.p == 1:
+            self.end_values, self.end_slopes = graph.values[[0, -1]], slopes[[0, -1]]
+            return
+        self.ticks, self.steps = graph.axes, graph.steps
+        self.tables = {}
+        for edge in _EDGES:
+            ring = edge.ring_indexer(graph.resolution)
+            self.tables[edge.name] = (_cubic_table(graph.values[ring]), _cubic_table(slopes[ring]))
 
     def __call__(self, point) -> np.ndarray:
-        g = self.graph
-        x = np.asarray(point, dtype=float)[: g.p]
-        if g.p == 1:
-            lo, hi = g.domain[0]
-            side = 0 if abs(x[0] - lo) <= abs(x[0] - hi) else -1
-            return self.slopes[side]
-        edge = _nearest_edge(g, x)
-        ring = self.slopes[edge.ring_indexer(g.resolution)]
-        r = float(x[edge.run_axis])
-        ticks = self.axes[edge.run_axis]
-        out = np.empty((g.codim, g.p))
-        for i in range(g.codim):
-            for j in range(g.p):
-                out[i, j] = np.interp(r, ticks, ring[:, i, j])
-        return out
+        x = np.asarray(point, dtype=float)[: self.p].tolist()
+        if self.p == 1:
+            lo, hi = self.domain[0]
+            return self.end_slopes[0 if abs(x[0] - lo) <= abs(x[0] - hi) else 1]
+        edge = min(_EDGES, key=lambda e: abs(x[e.normal_axis] - self.domain[e.normal_axis][e.side]))
+        return self.slopes(edge, x[edge.run_axis])
+
+    def slopes(self, edge: _Edge, r) -> np.ndarray:
+        """Slopes at run-parameters r of ``edge``, shape (*r.shape, n-p, p)."""
+        return self._interp(edge, 1, r)
+
+    def values(self, edge: _Edge, x) -> np.ndarray:
+        """Dirichlet values at the base points x (k, 2) on ``edge``."""
+        if self.dirichlet is not None:
+            return np.array([self._dirichlet(xk) for xk in x])
+        return self._interp(edge, 0, x[:, edge.run_axis])
+
+    def sample(self, spec: DeformationSpec, edge: _Edge, r):
+        """Base points (k, 2), fiber values (k, n-p) and displacements (k, n)
+        at the run-parameters r of ``edge``."""
+        x = np.empty((len(r), 2))
+        x[:, edge.run_axis] = r
+        x[:, edge.normal_axis] = self.domain[edge.normal_axis][edge.side]
+        z = self.values(edge, x)
+        return x, z, np.array([spec.displacement(np.concatenate([xk, zk])) for xk, zk in zip(x, z)])
+
+    def end(self, spec: DeformationSpec, side: int):
+        """(p = 1) Base point, fiber value and displacement at an endpoint."""
+        x = np.array([self.domain[0][side]])
+        z = self.end_values[side] if self.dirichlet is None else self._dirichlet(x)
+        return x, z, spec.displacement(np.concatenate([x, z]))
+
+    def _dirichlet(self, x):
+        return np.broadcast_to(np.asarray(self.dirichlet(x), dtype=float), (self.codim,))
+
+    def _interp(self, edge, which, r):
+        # Row i serves [t_i, t_(i+1)); the last row serves the last tick.
+        ticks = self.ticks[edge.run_axis]
+        i = np.searchsorted(ticks[1:], r, side="right")
+        u = (r - ticks[i]) / self.steps[edge.run_axis]
+        coeffs = self.tables[edge.name][which][i]
+        if np.ndim(u) == 0:
+            return coeffs @ np.array((1.0, u, u * u, u * u * u))
+        return np.einsum("k...j,jk->k...", coeffs, np.array([np.ones_like(u), u, u * u, u * u * u]))
 
 
-def _nearest_edge(graph: GridGraph, x):
-    best, best_d = None, np.inf
-    for edge in _edges(graph.resolution):
-        lo, hi = graph.domain[edge.normal_axis]
-        level = lo if edge.side == 0 else hi
-        d = abs(float(x[edge.normal_axis]) - level)
-        if d < best_d:
-            best, best_d = edge, d
-    return best
-
-
-def _deformed_action(L, g0: _BoundaryValues, slopes: _BoundarySlopes, domain, resolution, spec, t) -> float:
+def _deformed_action(L, bd: _BoundaryData, domain, resolution, spec, t) -> float:
     if L.p == 1:
-        (lo, hi) = domain[0]
         ends = []
-        for xval in (lo, hi):
-            x = np.array([xval])
-            z = g0(x)
-            point = np.concatenate([x, z])
-            disp = spec.displacement(point)
-            ends.append((xval + t * disp[0], z + t * disp[1:]))
+        for side in (0, 1):
+            x, z, d = bd.end(spec, side)
+            ends.append((x[0] + t * d[0], z + t * d[1:]))
         (b_lo, z_lo), (b_hi, z_hi) = ends
         if not b_lo < b_hi:
             raise ChartExit(f"deformed interval degenerate: [{b_lo}, {b_hi}]")
@@ -501,41 +507,32 @@ def _deformed_action(L, g0: _BoundaryValues, slopes: _BoundarySlopes, domain, re
 
     # Displace each edge at its node parameters.
     axes = grid_axes(domain, resolution)
-    edges = _edges(resolution)
     displaced = {}
     boxlike = True
     scale = max(abs(hi - lo) for lo, hi in domain)
-    for edge in edges:
-        ticks = axes[edge.run_axis]
-        level0 = domain[edge.normal_axis][edge.side]
-        pts = np.empty((len(ticks), 2))
-        pts[:, edge.run_axis] = ticks
-        pts[:, edge.normal_axis] = level0
-        zs = np.array([g0(pt) for pt in pts])
-        disp = np.array(
-            [spec.displacement(np.concatenate([pt, z])) for pt, z in zip(pts, zs)]
-        )
-        base_new = pts + t * disp[:, :2]
-        z_new = zs + t * disp[:, 2:]
+    for edge in _EDGES:
+        x, z, d = bd.sample(spec, edge, axes[edge.run_axis])
+        base_new = x + t * d[:, :2]
+        z_new = z + t * d[:, 2:]
         if np.any(np.diff(base_new[:, edge.run_axis]) <= 0.0):
             raise ChartExit(f"deformed {edge.name} edge is not a graph over its axis")
         transverse = base_new[:, edge.normal_axis]
         if np.max(np.abs(transverse - transverse.mean())) > 1e-11 * scale:
             boxlike = False
-        displaced[edge.name] = (base_new, z_new, float(transverse.mean()))
+        displaced[edge.name] = (z_new, float(transverse.mean()))
     if boxlike:
-        return _box_action(L, g0, slopes, domain, resolution, spec, t, displaced)
-    return _pullback_action(L, g0, domain, resolution, spec, t, displaced)
+        return _box_action(L, bd, domain, resolution, spec, t, displaced)
+    return _pullback_action(L, bd, domain, resolution, spec, t, displaced)
 
 
-def _box_action(L, g0, slopes, domain, resolution, spec, t, displaced):
+def _box_action(L, bd, domain, resolution, spec, t, displaced):
     """Re-solve on a translated/stretched box (edges moved rigidly).
 
     The displaced data is carried to the new edge nodes by inverting the
     along-edge motion and transporting across the (at most O(t^2)) base
     gap with the t=0 slopes.
     """
-    levels = {name: lvl for name, (_, _, lvl) in displaced.items()}
+    levels = {name: lvl for name, (_, lvl) in displaced.items()}
     new_domain = (
         (levels["xmin"], levels["xmax"]),
         (levels["ymin"], levels["ymax"]),
@@ -545,39 +542,20 @@ def _box_action(L, g0, slopes, domain, resolution, spec, t, displaced):
     new_axes = grid_axes(new_domain, resolution)
     bvals = np.zeros((*resolution, L.codim))
     counts = np.zeros(resolution)
-    for edge in _edges(resolution):
+    for edge in _EDGES:
         lo0, hi0 = domain[edge.run_axis]
-        level0 = domain[edge.normal_axis][edge.side]
-        new_level = levels[edge.name]
         targets = new_axes[edge.run_axis]
-
-        def run_displacement(rv):
-            x = np.empty(2)
-            x[edge.run_axis] = rv
-            x[edge.normal_axis] = level0
-            z = g0(x)
-            return spec.displacement(np.concatenate([x, z]))
-
         # Invert r + t*D_run(r) = target by clamped fixed-point iteration.
         r = np.clip(targets, lo0, hi0)
         for _ in range(4):
-            d_run = np.array([run_displacement(rv)[edge.run_axis] for rv in r])
+            d_run = bd.sample(spec, edge, r)[2][:, edge.run_axis]
             r = np.clip(targets - t * d_run, lo0, hi0)
-        ring = np.empty((len(targets), L.codim))
-        for k, rv in enumerate(r):
-            x = np.empty(2)
-            x[edge.run_axis] = rv
-            x[edge.normal_axis] = level0
-            z = g0(x)
-            point = np.concatenate([x, z])
-            d = spec.displacement(point)
-            b_fin = x + t * d[:2]
-            z_fin = z + t * d[2:]
-            x_hat = np.empty(2)
-            x_hat[edge.run_axis] = targets[k]
-            x_hat[edge.normal_axis] = new_level
-            q0 = slopes(point)
-            ring[k] = z_fin + q0 @ (x_hat - b_fin)
+        x, z, d = bd.sample(spec, edge, r)
+        x_hat = np.empty_like(x)
+        x_hat[:, edge.run_axis] = targets
+        x_hat[:, edge.normal_axis] = levels[edge.name]
+        gap = x_hat - (x + t * d[:, :2])
+        ring = z + t * d[:, 2:] + np.einsum("kij,kj->ki", bd.slopes(edge, r), gap)
         idx = edge.ring_indexer(resolution)
         bvals[idx] += ring
         counts[idx] += 1.0
@@ -587,7 +565,7 @@ def _box_action(L, g0, slopes, domain, resolution, spec, t, displaced):
     return action(L, sol).value
 
 
-def _pullback_action(L, g0, domain, resolution, spec, t, displaced):
+def _pullback_action(L, bd, domain, resolution, spec, t, displaced):
     """Re-solve on the exact deformed region via a transfinite patch.
 
     The displaced edge curves bound the deformed base region; a Coons
@@ -597,75 +575,34 @@ def _pullback_action(L, g0, domain, resolution, spec, t, displaced):
     """
     (a1, b1), (a2, b2) = domain
     len1, len2 = b1 - a1, b2 - a2
+    centers = [0.5 * (ax[:-1] + ax[1:]) for ax in grid_axes(domain, resolution)]
 
-    def edge_point(name, rvals):
-        edge = next(e for e in _edges(resolution) if e.name == name)
-        level0 = domain[edge.normal_axis][edge.side]
-        out = np.empty((len(rvals), 2))
-        for k, rv in enumerate(rvals):
-            x = np.empty(2)
-            x[edge.run_axis] = rv
-            x[edge.normal_axis] = level0
-            z = g0(x)
-            d = spec.displacement(np.concatenate([x, z]))
-            out[k] = x + t * d[:2]
-        return out
+    def moved(edge, r):
+        x, _, d = bd.sample(spec, edge, r)
+        return x + t * d[:, :2]
 
-    def edge_deriv(name, rvals, span):
-        h = 1e-6 * span
-        return (edge_point(name, rvals + h) - edge_point(name, rvals - h)) / (2.0 * h)
-
-    centers1 = 0.5 * (np.linspace(a1, b1, resolution[0])[:-1] + np.linspace(a1, b1, resolution[0])[1:])
-    centers2 = 0.5 * (np.linspace(a2, b2, resolution[1])[:-1] + np.linspace(a2, b2, resolution[1])[1:])
-    eb, et = edge_point("ymin", centers1), edge_point("ymax", centers1)
-    el, er = edge_point("xmin", centers2), edge_point("xmax", centers2)
-    dbu, dtu = edge_deriv("ymin", centers1, len1), edge_deriv("ymax", centers1, len1)
-    dlv, drv = edge_deriv("xmin", centers2, len2), edge_deriv("xmax", centers2, len2)
-    corners = {}
-    for cx, cy, key in ((a1, a2, "00"), (b1, a2, "10"), (a1, b2, "01"), (b1, b2, "11")):
-        x = np.array([cx, cy])
-        z = g0(x)
-        d = spec.displacement(np.concatenate([x, z]))
-        corners[key] = x + t * d[:2]
-    u = ((centers1 - a1) / len1)[:, None]
-    v = ((centers2 - a2) / len2)[None, :]
-    phi = np.empty((2, len(centers1), len(centers2)))
-    dphi_d1 = np.empty_like(phi)
-    dphi_d2 = np.empty_like(phi)
-    for c in range(2):
-        blend = (
-            (1 - u) * (1 - v) * corners["00"][c]
-            + u * (1 - v) * corners["10"][c]
-            + (1 - u) * v * corners["01"][c]
-            + u * v * corners["11"][c]
-        )
-        phi[c] = (
-            (1 - v) * eb[:, c][:, None]
-            + v * et[:, c][:, None]
-            + (1 - u) * el[:, c][None, :]
-            + u * er[:, c][None, :]
-            - blend
-        )
-        dblend_d1 = (
-            (-(1 - v) * corners["00"][c] + (1 - v) * corners["10"][c] - v * corners["01"][c] + v * corners["11"][c])
-            / len1
-        )
-        dphi_d1[c] = (
-            (1 - v) * dbu[:, c][:, None]
-            + v * dtu[:, c][:, None]
-            + (-el[:, c][None, :] + er[:, c][None, :]) / len1
-            - dblend_d1
-        )
-        dblend_d2 = (
-            (-(1 - u) * corners["00"][c] - u * corners["10"][c] + (1 - u) * corners["01"][c] + u * corners["11"][c])
-            / len2
-        )
-        dphi_d2[c] = (
-            (-eb[:, c][:, None] + et[:, c][:, None]) / len2
-            + (1 - u) * dlv[:, c][None, :]
-            + u * drv[:, c][None, :]
-            - dblend_d2
-        )
+    curve, tangent = {}, {}
+    for edge in _EDGES:
+        c = centers[edge.run_axis]
+        hd = 1e-6 * (domain[edge.run_axis][1] - domain[edge.run_axis][0])
+        curve[edge.name] = moved(edge, c)
+        tangent[edge.name] = (moved(edge, c + hd) - moved(edge, c - hd)) / (2.0 * hd)
+    # The corners: the ymin and ymax edges at both ends of the x range.
+    (c00, c10), (c01, c11) = (moved(edge, np.array(domain[0])) for edge in _EDGES[2:])
+    eb, et, el, er = (curve[k] for k in ("ymin", "ymax", "xmin", "xmax"))
+    dbu, dtu, dlv, drv = (tangent[k] for k in ("ymin", "ymax", "xmin", "xmax"))
+    # Trailing axis: the two base components.
+    u = ((centers[0] - a1) / len1)[:, None, None]
+    v = ((centers[1] - a2) / len2)[None, :, None]
+    eb, et, dbu, dtu = eb[:, None], et[:, None], dbu[:, None], dtu[:, None]
+    el, er, dlv, drv = el[None], er[None], dlv[None], drv[None]
+    blend = (1 - u) * (1 - v) * c00 + u * (1 - v) * c10 + (1 - u) * v * c01 + u * v * c11
+    phi = (1 - v) * eb + v * et + (1 - u) * el + u * er - blend
+    dblend_d1 = (-(1 - v) * c00 + (1 - v) * c10 - v * c01 + v * c11) / len1
+    dphi_d1 = (1 - v) * dbu + v * dtu + (-el + er) / len1 - dblend_d1
+    dblend_d2 = (-(1 - u) * c00 - u * c10 + (1 - u) * c01 + u * c11) / len2
+    dphi_d2 = (-eb + et) / len2 + (1 - u) * dlv + u * drv - dblend_d2
+    phi, dphi_d1, dphi_d2 = (np.moveaxis(a, -1, 0) for a in (phi, dphi_d1, dphi_d2))
     jac_det = dphi_d1[0] * dphi_d2[1] - dphi_d1[1] * dphi_d2[0]
     if np.any(jac_det <= 0.0):
         raise ChartExit("deformed region folds over the base chart")
@@ -691,8 +628,7 @@ def _pullback_action(L, g0, domain, resolution, spec, t, displaced):
         n=L.n, p=2, func=wrapped, name=f"pullback({L.name})", supports_dual=L.supports_dual
     )
     bvals = np.zeros((*resolution, L.codim))
-    for edge in _edges(resolution):
-        _, z_new, _ = displaced[edge.name]
-        bvals[edge.ring_indexer(resolution)] = z_new
+    for edge in _EDGES:
+        bvals[edge.ring_indexer(resolution)] = displaced[edge.name][0]
     sol = solve_dirichlet(pulled, bvals, domain, resolution)
     return action(pulled, sol).value

@@ -246,10 +246,8 @@ def test_unit_normal_dual():
 
 
 def test_normal_length():
-    F = lag.euclidean_norm(2)
-    xi = np.array([1.0, 1.0])
-    assert normal_length(F, np.zeros(2), xi, MetricTensor.euclidean(2)) == 1.0
+    assert normal_length(MetricTensor.euclidean(2)) == 1.0
     diag = MetricTensor(dim=2, components=np.diag([4.0, 9.0]))
-    assert normal_length(F, np.zeros(2), xi, diag) == pytest.approx(6.0)
+    assert normal_length(diag) == pytest.approx(6.0)
     with pytest.raises(NotPositiveDefinite):
-        normal_length(F, np.zeros(2), xi, MetricTensor(dim=2, components=np.diag([1.0, -1.0])))
+        normal_length(MetricTensor(dim=2, components=np.diag([1.0, -1.0])))

@@ -200,3 +200,44 @@ def test_codim2_curve_oracle_rates_variational_frame_normal():
         spec = va.DeformationSpec(direction=lambda m, v=v: v, intensity=psi)
         rep = va.first_variation_fd(L, bc, dom, 9, spec)
         assert rep.dA_dt == pytest.approx(expect, rel=1e-6)
+
+
+def test_boundary_interpolant_reproduces_a_cubic_ring():
+    # along every edge of the box the data below is a cubic in the run
+    # parameter, which the local cubic interpolation must reproduce
+    def cubic(x, y):
+        return 0.5 + x - 2.0 * x * y * y + 0.7 * x**3 + y**3
+
+    axes = np.linspace(0.0, 1.0, 9)
+    X, Y = np.meshgrid(axes, axes, indexing="ij")
+    graph = make_graph(L3, DOM, (9, 9), cubic(X, Y))
+    bd = va._BoundaryData(graph)
+    r = np.random.default_rng(11).uniform(0.0, 1.0, 50)
+    for edge in va._EDGES:
+        x = np.empty((len(r), 2))
+        x[:, edge.run_axis] = r
+        x[:, edge.normal_axis] = DOM[edge.normal_axis][edge.side]
+        got = bd.values(edge, x)[:, 0]
+        assert np.max(np.abs(got - cubic(x[:, 0], x[:, 1]))) <= 1e-14
+
+
+def test_graph_slope_frame_matches_formula_on_scherk():
+    # the frame built from the solved graph's own slopes: the boundary
+    # formula and the re-solve oracle must agree within criterion 6's
+    # budget (linear interpolation of the slopes between nodes missed it
+    # by 15-46 budgets)
+    sdom = ((-0.5, 0.5), (-0.5, 0.5))
+
+    def scherk(x):
+        return np.log(np.cos(x[0]) / np.cos(x[1]))
+
+    base = solve_dirichlet(L3, scherk, sdom, 33)
+    field = va.frame_field(L3, va.graph_slopes_fn(base))
+    for s in (7, 8, 9):
+        psi = va.random_intensity(np.random.default_rng(s), 3)
+        spec = va.DeformationSpec(direction=field, intensity=psi)
+        (row,) = va.normality_scan(L3, base, [("frame", spec)], boundary_data=scherk)
+        rep = row.report
+        gap = abs(rep.boundary_formula_value - rep.dA_dt)
+        budget = max(1e-4 * abs(rep.dA_dt), 1e-6 * (1.0 + rep.A0))
+        assert gap <= budget
