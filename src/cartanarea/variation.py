@@ -178,7 +178,7 @@ def graph_slopes_fn(graph: GridGraph) -> Callable:
 
 
 def frame_field(L, slopes_fn: Callable, weights=None) -> Callable:
-    """Deformation field valued in the variational frame at each point.
+    """Deformation field valued in the closed-form Cartan frame at each point.
 
     ``weights`` mixes the n-p frame vectors (default: the first one).
     """

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cartanarea import extremal
 from cartanarea import lagrangian as lag
 from cartanarea.extremal import (
     GridGraph,
@@ -173,11 +174,11 @@ def test_descent_fallback_recovers(monkeypatch):
     real_spsolve = spla.spsolve
     calls = {"n": 0}
 
-    def flaky(A, b):
+    def flaky(A, b, **kwargs):
         calls["n"] += 1
         if calls["n"] == 1:
             return np.full_like(np.asarray(b), np.nan)
-        return real_spsolve(A, b)
+        return real_spsolve(A, b, **kwargs)
 
     monkeypatch.setattr(extremal.spla, "spsolve", flaky)
     L = lag.area_hypersurface(3)
@@ -204,3 +205,79 @@ def test_p1_residual_consistency_order():
         res = el_residual(L, g)[:, 0]
         errs.append(np.max(np.abs(res - np.sin(x[1:-1]))))
     assert min(observed_orders(errs)) >= 1.8
+
+
+@pytest.mark.parametrize(
+    "L, domain, resolution",
+    [
+        (lag.area_hypersurface(3), DOM, (9, 9)),
+        (lag.area_graph_gram(4, 2), DOM, (9, 9)),
+        (lag.area_graph_gram(3, 1), ((0.0, 1.0),), (9,)),
+    ],
+    ids=["area3", "gram4.2", "gram3.1"],
+)
+def test_interior_hessian_matches_gradient_differences(L, domain, resolution):
+    # non-harmonic data, so every second-derivative entry is exercised
+    axes = grid_axes(domain, resolution)
+    X = np.meshgrid(*axes, indexing="ij")
+    values = np.stack(
+        [np.sin(2.0 * X[0] + 0.5 * k) * np.cos(X[-1]) + (k + 1) * X[0] ** 2 for k in range(L.codim)],
+        axis=-1,
+    )
+    cells = extremal._CellScheme(L, domain, resolution)
+    interior = extremal._hessian_pattern(cells.resolution, cells.m).interior
+    K = cells.hessian(values)
+    n_int = int(np.prod([r - 2 for r in resolution])) * L.codim
+    assert K.shape == (n_int, n_int) == (interior.size, interior.size)
+    dense = K.toarray()
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(dense - dense.T)) <= 1e-14 * scale
+    # independent reference: central differences of the exact gradient
+    eps = 1e-5
+    ref = np.empty_like(dense)
+    for col, dof in enumerate(interior):
+        plus, minus = values.copy(), values.copy()
+        plus.reshape(-1)[dof] += eps
+        minus.reshape(-1)[dof] -= eps
+        gp, _ = cells.gradient(plus)
+        gm, _ = cells.gradient(minus)
+        ref[:, col] = (gp.reshape(-1)[interior] - gm.reshape(-1)[interior]) / (2 * eps)
+    assert np.max(np.abs(dense - ref)) <= 1e-6 * scale
+    # a second scheme of the same shape reuses the cached pattern
+    again = extremal._CellScheme(L, domain, resolution).hessian(values)
+    assert np.shares_memory(again.indices, K.indices)
+    assert np.shares_memory(again.indptr, K.indptr)
+
+
+def test_solve_info_counters():
+    L = lag.area_hypersurface(3)
+    sol = solve_dirichlet(L, scherk, SCHERK_DOM, 17)
+    info = sol.info
+    assert info["linear_solves"] >= info["iterations"] - 1
+    assert info["linear_solve_s"] > 0.0
+    assert info["hessian_s"] > 0.0
+    assert info["smoother"] == "converged"
+
+
+def test_default_init_smooths_by_property_not_name(monkeypatch):
+    # a non-quadratic expression named like the built-in still gets the smoother
+    L = lag.from_expression("sqrt(1 + q1_1**2 + q1_2**2)", 3, 2, name="dirichlet_like")
+    assert not L.quadratic
+    assert lag.dirichlet(3, 2).quadratic
+    sol = solve_dirichlet(L, scherk, SCHERK_DOM, 9)
+    assert sol.info["smoother"] == "converged"
+    assert sol.info["converged"]
+    quad = solve_dirichlet(lag.dirichlet(3, 2), scherk, SCHERK_DOM, 9)
+    assert quad.info["smoother"] == "not run"
+    # a smoother failure is recorded, not swallowed silently
+    real_newton = extremal._newton
+
+    def failing(L, *args):
+        if L.quadratic:
+            raise extremal.NoConvergence("stub")
+        return real_newton(L, *args)
+
+    monkeypatch.setattr(extremal, "_newton", failing)
+    sol = solve_dirichlet(L, scherk, SCHERK_DOM, 9)
+    assert sol.info["smoother"] == "NoConvergence: stub"
+    assert sol.info["converged"]
