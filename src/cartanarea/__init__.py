@@ -19,7 +19,6 @@ from .errors import (
 from .extremal import ActionValue, GridGraph, action, el_residual, node_slopes, solve_dirichlet
 from .frames import (
     NormalFrame,
-    boundary_identity_residual,
     boundary_residual_of_field,
     cartan_frame,
     normal_from_homogenized,

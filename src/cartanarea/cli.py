@@ -114,6 +114,14 @@ def _boundary_callable(exprs, n, p):
     return lambda x: np.array([fn(list(x)) for fn in fns])
 
 
+def _solve(L, boundary, domain, resolution):
+    """``solve_dirichlet``, reporting rejected inputs (a too-small resolution) as usage errors."""
+    try:
+        return solve_dirichlet(L, boundary, domain, resolution)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 @click.group()
 def main():
     """Numerical toolkit for variationally defined orthogonal frames."""
@@ -219,7 +227,7 @@ def solve(lagrangian, dims, domain, resolution, boundary, output, out_format):
     dom = _parse_domain(domain, L.p)
     bc = _boundary_callable(boundary, L.n, L.p)
     try:
-        graph = solve_dirichlet(L, bc, dom, resolution)
+        graph = _solve(L, bc, dom, resolution)
     except CartanAreaError as exc:
         _fail(exc)
     if out_format == "structured-record":
@@ -239,19 +247,26 @@ def solve(lagrangian, dims, domain, resolution, boundary, output, out_format):
         _emit(text, output)
 
 
+def _field_index(kind, count):
+    """The 0-based index of 'frame:k' or 'tangent:k', for k in 1..count."""
+    tail = kind.split(":", 1)[1]
+    if not (tail.isdigit() and 1 <= int(tail) <= count):
+        raise click.UsageError(f"field {kind!r}: the index must be one of 1..{count}")
+    return int(tail) - 1
+
+
 def _build_field(kind, L, graph):
     slopes_fn = va.graph_slopes_fn(graph)
     if kind == "frame" or kind.startswith("frame:"):
         weights = None
         if ":" in kind:
-            k = int(kind.split(":")[1])
             weights = np.zeros(L.codim)
-            weights[k - 1] = 1.0
+            weights[_field_index(kind, L.codim)] = 1.0
         return va.frame_field(L, slopes_fn, weights=weights)
     if kind == "euclidean-normal":
         return va.euclidean_normal_field(L.n, L.p, slopes_fn)
     if kind.startswith("tangent:"):
-        return va.tangent_field(L.n, L.p, slopes_fn, j=int(kind.split(":")[1]) - 1)
+        return va.tangent_field(L.n, L.p, slopes_fn, j=_field_index(kind, L.p))
     parts = [seg.strip() for seg in kind.split(";")]
     if len(parts) != L.n:
         raise click.UsageError(
@@ -303,14 +318,14 @@ def verify(lagrangian, dims, graph_path, domain, resolution, boundary, fields, p
                 raise click.UsageError("need either --graph or --boundary (plus optional --domain)")
             dom = _parse_domain(domain, L.p)
             boundary_fn = _boundary_callable(boundary, L.n, L.p)
-            graph = solve_dirichlet(L, boundary_fn, dom, resolution)
+            graph = _solve(L, boundary_fn, dom, resolution)
         dom = graph.domain
         candidates = []
         for kind in fields:
             try:
                 direction = _build_field(kind, L, graph)
                 intensity = _build_psi(psi, L, dom, seed)
-            except ExpressionError as exc:
+            except ValueError as exc:  # ExpressionError, or a bad edge side
                 raise click.UsageError(str(exc))
             candidates.append(
                 (kind, va.DeformationSpec(direction=direction, intensity=intensity, step=step, name=kind))

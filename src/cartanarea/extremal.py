@@ -1,11 +1,18 @@
 """Discretized action, Euler-Lagrange residuals, and a Dirichlet solver.
 
 Discretization: node-centered values on a tensor grid over an
-axis-aligned box (base dimension 1 or 2), cell-centered gradients, and
-the midpoint rule per cell.  The discrete Euler-Lagrange residual is the
-exact gradient of this discrete action with respect to the interior
-node values, so the solver, the action, and the first-variation oracle
-all share one functional.  Jacobians come from nested dual numbers;
+axis-aligned box, cell-centered gradients, and the midpoint rule per
+cell.  The cell layer (``_CellScheme`` and the Hessian pattern) is one
+tensor-product code path for any base dimension p: each cell has 2^p
+corners, first axis fastest, and is evaluated at its centre with the
+corner average and one centred slope per axis.  ``GridGraph`` still
+accepts only p = 1 or 2, because the first-variation oracle's boundary
+sampler works on the edges of a 2-D box.
+
+The discrete Euler-Lagrange residual is the exact gradient of this
+discrete action with respect to the interior node values, so the
+solver, the action, and the first-variation oracle all share one
+functional.  Jacobians come from nested dual numbers;
 there are no hand-coded second derivatives.
 
 Each Newton step assembles the interior Hessian block straight into CSC
@@ -21,6 +28,7 @@ the smoother's outcome (``smoother``).
 """
 
 import functools
+import itertools
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -34,8 +42,6 @@ from .dual import Dual, value as _value
 from .errors import NoConvergence, NonFinite, SingularJacobian
 
 _LINESEARCH_DECREASE = 1e-4
-# Corner offsets of a cell, in the column order of ``_CellScheme.coeffs``.
-_CORNERS = {1: ((0,), (1,)), 2: ((0, 0), (1, 0), (0, 1), (1, 1))}
 
 
 @dataclass
@@ -96,7 +102,6 @@ class GridGraph:
 @dataclass(frozen=True)
 class ActionValue:
     value: float
-    quadrature_order: int
 
 
 def grid_axes(domain, resolution):
@@ -131,26 +136,17 @@ def make_graph(L, domain, resolution, values, info=None) -> GridGraph:
     )
 
 
-def action(L, graph: GridGraph, scheme: str = "midpoint") -> ActionValue:
-    """Composite quadrature of L(x, f, grad f) over the box.
+def action(L, graph: GridGraph) -> ActionValue:
+    """Midpoint quadrature of L(x, f, grad f) over the box.
 
-    ``midpoint`` evaluates per cell with cell-centered gradients (the
-    solver's functional); ``trapezoid`` evaluates per node with
-    node-centered differences.
+    L is evaluated once per cell at the cell centre, with the cell's
+    averaged value and centred slopes: the solver's functional.
     """
     _check_graph_dims(L, graph)
-    if scheme == "midpoint":
-        cells = _CellScheme(L, graph.domain, graph.resolution)
-        val = cells.action(graph.values)
-        order = 1
-    elif scheme == "trapezoid":
-        val = _trapezoid_action(L, graph)
-        order = 2
-    else:
-        raise ValueError(f"unknown quadrature scheme {scheme!r}")
+    val = _CellScheme(L, graph.domain, graph.resolution).action(graph.values)
     if not np.isfinite(val):
         raise NonFinite("action evaluated non-finite")
-    return ActionValue(value=float(val), quadrature_order=order)
+    return ActionValue(value=float(val))
 
 
 def el_residual(L, graph: GridGraph) -> np.ndarray:
@@ -239,8 +235,9 @@ def deriv4(vals, h, axis=0):
 def node_slopes(graph: GridGraph) -> np.ndarray:
     """Node-centered gradient field, shape ``(*resolution, n-p, p)``.
 
-    Fourth-order stencils (one-sided at the boundary), so trapezoid
-    quadrature of the slopes keeps a clean second-order expansion.
+    Fourth-order stencils (one-sided at the boundary).  The boundary ring
+    of these slopes is what the first-variation oracle's boundary sampler
+    and the boundary formula read.
     """
     out = np.empty((*graph.resolution, graph.codim, graph.p))
     for i in range(graph.codim):
@@ -259,6 +256,20 @@ def observed_orders(errors):
 # Midpoint-cell machinery
 
 
+def _cell_corners(p):
+    """Corner offsets of a p-cell, first axis fastest: (0, 0), (1, 0), (0, 1), (1, 1)."""
+    return tuple(c[::-1] for c in itertools.product((0, 1), repeat=p))
+
+
+def _corner_slices(resolution):
+    """Per cell corner, the slice of the node grid holding that corner of every cell."""
+    cell_shape = tuple(r - 1 for r in resolution)
+    return [
+        tuple(slice(d, d + n) for d, n in zip(c, cell_shape))
+        for c in _cell_corners(len(resolution))
+    ]
+
+
 class _CellScheme:
     """Vectorised evaluation of the midpoint action and its derivatives."""
 
@@ -271,43 +282,24 @@ class _CellScheme:
         self.steps = [(hi - lo) / (r - 1) for (lo, hi), r in zip(domain, resolution)]
         self.cell_volume = float(np.prod(self.steps))
         centers = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
-        self.corners = _CORNERS[self.p]
-        if self.p == 1:
-            self.x_cells = [centers[0]]
-            h = self.steps[0]
-            # rows: role 0 = value average, role j = slope in axis j
-            self.coeffs = np.array([[0.5, 0.5], [-1.0 / h, 1.0 / h]])
-            self.cell_shape = (resolution[0] - 1,)
-        else:
-            xc, yc = np.meshgrid(centers[0], centers[1], indexing="ij")
-            self.x_cells = [xc, yc]
-            hx, hy = self.steps
-            self.coeffs = np.array(
-                [
-                    [0.25, 0.25, 0.25, 0.25],
-                    [-0.5 / hx, 0.5 / hx, -0.5 / hx, 0.5 / hx],
-                    [-0.5 / hy, -0.5 / hy, 0.5 / hy, 0.5 / hy],
-                ]
-            )
-            self.cell_shape = (resolution[0] - 1, resolution[1] - 1)
+        self.x_cells = np.meshgrid(*centers, indexing="ij")
+        self.cell_shape = tuple(r - 1 for r in self.resolution)
+        self.corners = _cell_corners(self.p)
+        # rows: role 0 = value average, role 1 + j = slope in axis j
+        weight = 0.5**self.p
+        self.coeffs = np.array(
+            [[weight] * len(self.corners)]
+            + [
+                [(1.0 if c[j] else -1.0) * (weight * 2 / h) for c in self.corners]
+                for j, h in enumerate(self.steps)
+            ]
+        )
+        self.slices = _corner_slices(self.resolution)
         self.n_vars = self.m * (self.p + 1)
-
-    def _corner_values(self, values):
-        out = []
-        for c in self.corners:
-            if self.p == 1:
-                (dx,) = c
-                out.append(values[dx : dx + self.cell_shape[0], :])
-            else:
-                dx, dy = c
-                out.append(
-                    values[dx : dx + self.cell_shape[0], dy : dy + self.cell_shape[1], :]
-                )
-        return out
 
     def _cell_vars(self, values):
         """Linear map from corner values to (value, slopes) per component."""
-        corners = self._corner_values(values)
+        corners = [values[s] for s in self.slices]
         u = []
         for i in range(self.m):
             for role in range(self.p + 1):
@@ -360,19 +352,11 @@ class _CellScheme:
             derivs.append(np.broadcast_to(np.asarray(_value(d), dtype=float), self.cell_shape))
         grad = np.zeros((*self.resolution, self.m))
         for i in range(self.m):
-            for a, c in enumerate(self.corners):
+            for a, s in enumerate(self.slices):
                 contrib = 0.0
                 for role in range(self.p + 1):
                     contrib = contrib + self.coeffs[role, a] * derivs[i * (self.p + 1) + role]
-                contrib = self.cell_volume * contrib
-                if self.p == 1:
-                    (dx,) = c
-                    grad[dx : dx + self.cell_shape[0], i] += contrib
-                else:
-                    dx, dy = c
-                    grad[
-                        dx : dx + self.cell_shape[0], dy : dy + self.cell_shape[1], i
-                    ] += contrib
+                grad[(*s, i)] += self.cell_volume * contrib
         if not np.all(np.isfinite(grad)):
             raise NonFinite("discrete Euler-Lagrange gradient evaluated non-finite")
         return grad, A
@@ -431,14 +415,8 @@ def _hessian_pattern(resolution, m) -> _HessianPattern:
 
     The arrays are shared by every caller, so they are made read-only.
     """
-    cell_shape = tuple(r - 1 for r in resolution)
     nodes = np.arange(int(np.prod(resolution))).reshape(resolution)
-    corner_nodes = np.stack(
-        [
-            nodes[tuple(slice(d, d + n) for d, n in zip(c, cell_shape))].reshape(-1)
-            for c in _CORNERS[len(resolution)]
-        ]
-    )
+    corner_nodes = np.stack([nodes[s].reshape(-1) for s in _corner_slices(resolution)])
     comps = np.arange(m)
     rows = corner_nodes[None, None, :, None, :] * m + comps[:, None, None, None, None]
     cols = corner_nodes[None, None, None, :, :] * m + comps[None, :, None, None, None]
@@ -464,22 +442,6 @@ def _hessian_pattern(resolution, m) -> _HessianPattern:
     for arr in pattern:
         arr.flags.writeable = False
     return pattern
-
-
-def _trapezoid_action(L, graph: GridGraph) -> float:
-    axes = graph.axes
-    slopes = node_slopes(graph)
-    meshes = np.meshgrid(*axes, indexing="ij") if graph.p == 2 else [axes[0]]
-    z = [graph.values[..., i] for i in range(graph.codim)]
-    q = [[slopes[..., i, j] for j in range(graph.p)] for i in range(graph.codim)]
-    vals = _value(L.func([np.asarray(c) for c in meshes], z, q))
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), graph.resolution)
-    w = 1.0
-    for h, r in zip(graph.steps, graph.resolution):
-        wk = np.full(r, h)
-        wk[0] = wk[-1] = 0.5 * h
-        w = np.multiply.outer(w, wk) if np.ndim(w) else wk
-    return float(np.sum(w * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +571,12 @@ def _descent(cells, values, interior, steps):
 
 def _normalize_resolution(resolution, p):
     if np.isscalar(resolution):
-        return (int(resolution),) * p
+        resolution = (int(resolution),) * p
     resolution = tuple(int(r) for r in resolution)
     if len(resolution) != p:
         raise ValueError(f"resolution must have {p} entries, got {resolution}")
+    if any(r < 5 for r in resolution):
+        raise ValueError(f"need at least 5 nodes per axis, got {resolution}")
     return resolution
 
 

@@ -170,20 +170,6 @@ def boundary_flux(momenta, value, q, X) -> np.ndarray:
     return momenta.T @ df_dt + value * X[:p]
 
 
-def boundary_identity_residual(L: LagrangianField, elem: GrassmannElement, lam) -> np.ndarray:
-    """Residual of the closed-form combination X = sum_k lam_k v^k.
-
-    Vanishes in codimension one; see the module docstring for its value
-    in higher codimension.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (L.codim,):
-        raise ValueError(f"lam must have length {L.codim}, got {lam.shape}")
-    frame = cartan_frame(L, elem)
-    X = lam @ frame.vectors
-    return boundary_residual_of_field(L, elem, X)
-
-
 def normal_from_homogenized(F: HomogenizedLagrangian, x, xi) -> np.ndarray:
     """Normal vector to the hyperplane coded by xi: the xi-gradient of F."""
     xi = np.asarray(xi, dtype=float)

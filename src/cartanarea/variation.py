@@ -241,12 +241,15 @@ def random_intensity(rng, n: int, terms: int = 3) -> Callable:
 def edge_indicator(domain, side: str, rel_tol: float = 1e-9) -> Callable:
     """Intensity 1 on one box edge, 0 elsewhere.
 
-    ``side`` is one of xmin, xmax, ymin, ymax (ymin/ymax need p=2).
+    ``side`` is one of xmin, xmax, ymin, ymax (ymin/ymax need p=2);
+    any other side raises ValueError.
     """
-    axis = {"x": 0, "y": 1}[side[0]]
-    which = side[1:]
+    sides = ("xmin", "xmax", "ymin", "ymax")[: 2 * len(domain)]
+    if side not in sides:
+        raise ValueError(f"edge side must be one of {', '.join(sides)}, got {side!r}")
+    axis = "xy".index(side[0])
     lo, hi = domain[axis]
-    level = lo if which == "min" else hi
+    level = lo if side.endswith("min") else hi
     tol = rel_tol * max(1.0, abs(hi - lo))
 
     def psi(point):

@@ -6,16 +6,20 @@ flux identity for ``variational_frame`` over all four built-in
 integrands.  On the same samples it asserts that the closed form
 ``cartan_frame`` meets the identity in codimension one, and that in
 codimension two its residual is the dropped cross-coupling term and is
-not small (see test_frames.test_identity_residual_codim2_cross_coupling
-for a hand-computed value).
+not small (see test_frames.test_identity_residual_codim2_cross_coupling,
+which checks a hand-computed value of the flux
+``boundary_residual_of_field(L, e, lam @ cartan_frame(L, e).vectors)``).
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cartanarea
 from cartanarea import acceptance as acc
 
 
@@ -80,12 +84,17 @@ def test_criterion_9(rng_factory):
 
 def test_criterion_10_cli_determinism(tmp_path):
     """Criteria 1-9 from one CLI invocation, byte-identical across runs."""
+    # the child imports the package this test imported, installed or not
+    src = str(Path(cartanarea.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     outputs = []
     for run in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "cartanarea.cli", "acceptance", "--seed", "0"],
             capture_output=True,
             timeout=600,
+            env=env,
         )
         assert proc.returncode in (0, 1), proc.stderr.decode()
         outputs.append(proc.stdout)

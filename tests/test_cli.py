@@ -248,3 +248,55 @@ def test_frame_output_deterministic(runner, tmp_path):
         assert result.exit_code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--lagrangian", "area3", "--field", "tangent:0"],
+        ["--lagrangian", "area3", "--field", "tangent:3"],
+        ["--lagrangian", "area3", "--field", "frame:0"],
+        ["--lagrangian", "area3", "--field", "frame:2"],
+        ["--lagrangian", "area3", "--field", "frame:x"],
+        ["--lagrangian", "area3", "--field", "frame", "--psi", "edge:xmid"],
+        ["--lagrangian", "area3", "--field", "frame", "--psi", "edge:zmin"],
+        ["--lagrangian", "dirichlet", "--dims", "2,1", "--field", "frame", "--psi", "edge:ymin"],
+    ],
+    ids=["tangent:0", "tangent:3", "frame:0", "frame:2", "frame:x", "edge:xmid", "edge:zmin", "edge:ymin-p1"],
+)
+def test_verify_rejects_out_of_range_field_or_edge(runner, extra):
+    result = runner.invoke(main, ["verify", "--resolution", "5", "--boundary", "0", *extra])
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output
+
+
+def test_verify_in_range_field_and_edge_output_unchanged(runner):
+    # values as printed before out-of-range indices and sides were rejected
+    result = runner.invoke(
+        main,
+        ["verify", "--lagrangian", "area3", "--resolution", "9", "--boundary", "x1*x2",
+         "--field", "frame:1", "--field", "tangent:1", "--psi", "edge:xmax", "--format", "csv"],
+    )
+    assert result.exit_code == 0
+    lines = result.output.strip().split("\n")
+    assert len(lines) == 3
+    expected = [
+        ("frame:1", [1.2784249666233969, -0.10500575548962052, -0.1050057839243613,
+                     0.0023355614957509571], "non-normal"),
+        ("tangent:1", [1.2784249666233969, 1.5727650934550437, 1.5727650877290211,
+                       1.5727583635860223], "non-normal"),
+    ]
+    for line, (name, numbers, verdict) in zip(lines[1:], expected):
+        row = line.split(",")
+        assert row[0] == name and row[-1] == verdict
+        assert [float(v) for v in row[1:-1]] == pytest.approx(numbers, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_too_small_resolution_is_a_usage_error(runner, command):
+    args = [command, "--lagrangian", "area3", "--resolution", "3", "--boundary", "0"]
+    if command == "verify":
+        args += ["--field", "frame"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "at least 5 nodes" in result.output

@@ -32,7 +32,6 @@ def test_action_constant_integrand():
     one = lag.LagrangianField(n=3, p=2, func=lambda x, z, q: 1.0 + 0.0 * x[0], name="one")
     g = make_graph(one, DOM, (9, 9), np.zeros((9, 9)))
     assert action(one, g).value == pytest.approx(1.0, abs=1e-14)
-    assert action(one, g, "trapezoid").value == pytest.approx(1.0, abs=1e-14)
 
 
 def test_action_dirichlet_linear_graph():
@@ -47,8 +46,6 @@ def test_action_flat_area():
     L = lag.area_hypersurface(3)
     g = make_graph(L, DOM, (9, 9), np.zeros((9, 9)))
     assert action(L, g).value == pytest.approx(1.0, abs=1e-14)
-    assert action(L, g).quadrature_order == 1
-    assert action(L, g, "trapezoid").quadrature_order == 2
 
 
 def test_graph_validation():
@@ -136,15 +133,14 @@ def test_action_history_decreases_for_convex_problem():
 
 def test_quadrature_convergence_factor():
     L = lag.area_hypersurface(3)
-    for scheme in ("midpoint", "trapezoid"):
-        vals = []
-        for r in (9, 17, 33):
-            axes = grid_axes(DOM, (r, r))
-            X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-            g = make_graph(L, DOM, (r, r), np.sin(2 * X) * np.cos(Y))
-            vals.append(action(L, g, scheme).value)
-        ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
-        assert ratio >= 3.5
+    vals = []
+    for r in (9, 17, 33):
+        axes = grid_axes(DOM, (r, r))
+        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
+        g = make_graph(L, DOM, (r, r), np.sin(2 * X) * np.cos(Y))
+        vals.append(action(L, g).value)
+    ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
+    assert ratio >= 3.5
 
 
 def test_node_slopes_accuracy():
@@ -213,8 +209,10 @@ def test_p1_residual_consistency_order():
         (lag.area_hypersurface(3), DOM, (9, 9)),
         (lag.area_graph_gram(4, 2), DOM, (9, 9)),
         (lag.area_graph_gram(3, 1), ((0.0, 1.0),), (9,)),
+        (lag.area_graph_gram(4, 2), ((0.0, 1.0), (0.0, 0.6)), (9, 7)),
+        (lag.area_hypersurface(4), ((0.0, 1.0), (0.0, 0.8), (0.0, 0.6)), (5, 6, 5)),
     ],
-    ids=["area3", "gram4.2", "gram3.1"],
+    ids=["area3", "gram4.2", "gram3.1", "gram4.2-unequal-steps", "area4-p3"],
 )
 def test_interior_hessian_matches_gradient_differences(L, domain, resolution):
     # non-harmonic data, so every second-derivative entry is exercised
@@ -226,6 +224,35 @@ def test_interior_hessian_matches_gradient_differences(L, domain, resolution):
     )
     cells = extremal._CellScheme(L, domain, resolution)
     interior = extremal._hessian_pattern(cells.resolution, cells.m).interior
+    # the generic stencil reproduces the hand-written p = 1 and p = 2 tables bit for bit
+    steps = [(hi - lo) / (r - 1) for (lo, hi), r in zip(domain, resolution)]
+    if L.p == 1:
+        (h,) = steps
+        assert cells.corners == ((0,), (1,))
+        assert np.array_equal(cells.coeffs, [[0.5, 0.5], [-1.0 / h, 1.0 / h]])
+    elif L.p == 2:
+        hx, hy = steps
+        assert cells.corners == ((0, 0), (1, 0), (0, 1), (1, 1))
+        assert np.array_equal(
+            cells.coeffs,
+            [
+                [0.25, 0.25, 0.25, 0.25],
+                [-0.5 / hx, 0.5 / hx, -0.5 / hx, 0.5 / hx],
+                [-0.5 / hy, -0.5 / hy, 0.5 / hy, 0.5 / hy],
+            ],
+        )
+    # the gradient is the derivative of the action: central differences at interior dofs
+    eps = 1e-5
+    grad, A = cells.gradient(values)
+    assert A == cells.action(values)
+    fd = np.empty(interior.size)
+    for k, dof in enumerate(interior):
+        plus, minus = values.copy(), values.copy()
+        plus.reshape(-1)[dof] += eps
+        minus.reshape(-1)[dof] -= eps
+        fd[k] = (cells.action(plus) - cells.action(minus)) / (2 * eps)
+    g = grad.reshape(-1)[interior]
+    assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(g))
     K = cells.hessian(values)
     n_int = int(np.prod([r - 2 for r in resolution])) * L.codim
     assert K.shape == (n_int, n_int) == (interior.size, interior.size)
@@ -233,7 +260,6 @@ def test_interior_hessian_matches_gradient_differences(L, domain, resolution):
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(dense - dense.T)) <= 1e-14 * scale
     # independent reference: central differences of the exact gradient
-    eps = 1e-5
     ref = np.empty_like(dense)
     for col, dof in enumerate(interior):
         plus, minus = values.copy(), values.copy()

@@ -6,7 +6,6 @@ import pytest
 from cartanarea import lagrangian as lag
 from cartanarea.errors import DegenerateFrameWarning, DomainError, NotPositiveDefinite
 from cartanarea.frames import (
-    boundary_identity_residual,
     boundary_residual_of_field,
     cartan_frame,
     normal_from_homogenized,
@@ -119,14 +118,15 @@ def test_identity_residual_codim1():
             value = L([0, 0], [0.0], q)
             if abs(value) < 0.1:
                 continue
-            res = boundary_identity_residual(L, elem(3, 2, q), lamb)
+            e = elem(3, 2, q)
+            res = boundary_residual_of_field(L, e, lamb @ cartan_frame(L, e).vectors)
             assert np.max(np.abs(res)) <= 1e-10 * abs(value) * max(np.linalg.norm(lamb), 1e-6)
 
 
 def test_identity_residual_zero_mixture():
-    res = boundary_identity_residual(
-        lag.area_plucker_4d(), elem(4, 2, [[1.0, 0.5], [0.2, 2.0]]), [0.0, 0.0]
-    )
+    L = lag.area_plucker_4d()
+    e = elem(4, 2, [[1.0, 0.5], [0.2, 2.0]])
+    res = boundary_residual_of_field(L, e, np.array([0.0, 0.0]) @ cartan_frame(L, e).vectors)
     assert np.array_equal(res, [0.0, 0.0])
 
 
@@ -137,7 +137,8 @@ def test_identity_residual_codim2_cross_coupling():
     # at q = [[1,0],[1,0]], lambda = (1,0): L = sqrt(2), M = q/sqrt(2),
     # residual_1 = -M[1,0]*B_21 = -(1/sqrt 2)(1/sqrt 2) = -1/2.
     L = lag.area_plucker_4d()
-    res = boundary_identity_residual(L, elem(4, 2, [[1.0, 0.0], [1.0, 0.0]]), [1.0, 0.0])
+    e = elem(4, 2, [[1.0, 0.0], [1.0, 0.0]])
+    res = boundary_residual_of_field(L, e, np.array([1.0, 0.0]) @ cartan_frame(L, e).vectors)
     assert np.allclose(res, [-0.5, 0.0], atol=1e-14)
 
 
