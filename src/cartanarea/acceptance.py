@@ -318,7 +318,7 @@ def criterion_6(rows4, rows5) -> CriterionResult:
     ok = True
     for rep in list(rows4) + list(rows5):
         gap = abs(rep.boundary_formula_value - rep.dA_dt)
-        budget = max(1e-4 * abs(rep.dA_dt), 1e-6 * (1.0 + rep.A0))
+        budget = va.formula_budget(rep.dA_dt, rep.A0)
         ok = ok and gap <= budget
         worst_margin = max(worst_margin, gap / budget)
     return CriterionResult(

@@ -96,6 +96,8 @@ def _parse_domain(text, p):
         raise click.UsageError(f"cannot parse domain {text!r}")
     if len(domain) != p or any(len(ax) != 2 for ax in domain):
         raise click.UsageError(f"domain needs {p} 'lo,hi' segments separated by ';'")
+    if any(not lo < hi for lo, hi in domain):
+        raise click.UsageError(f"domain {text!r}: each segment needs lo < hi")
     return domain
 
 
@@ -357,8 +359,20 @@ def verify(lagrangian, dims, graph_path, domain, resolution, boundary, fields, p
         lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
         for r in table:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+        lines += _field_order_notes(rows)
         text = "\n".join(lines) + "\n"
     _emit(text, output)
+
+
+def _field_order_notes(rows):
+    """One line per row whose grid-derived field had its order measured."""
+    notes = []
+    for row in rows:
+        diag = {} if row.report is None else row.report.diagnostics
+        if "field_order" in diag:
+            tail = " (normal in the limit)" if diag.get("reason") == "normal-in-the-limit" else ""
+            notes.append(f"{row.name}: field order {fmt(diag['field_order'])}{tail}")
+    return notes
 
 
 @main.command()

@@ -19,12 +19,23 @@ Each Newton step assembles the interior Hessian block straight into CSC
 form: the sparsity pattern and the slot of every per-cell entry are
 built once per ``(resolution, codim)`` and cached, so an iteration costs
 the dual evaluations, one einsum and one ``np.bincount``.  The symmetric
-system is solved by SuperLU with minimum-degree ordering on A^T + A
-(``permc_spec="MMD_AT_PLUS_A"``).  ``solve_dirichlet`` reports in
-``GridGraph.info`` the iterations, the number of linear solves
-(``linear_solves``, the harmonic smoother's included), the seconds spent
-in them and in Hessian assembly (``linear_solve_s``, ``hessian_s``), and
-the smoother's outcome (``smoother``).
+system is factored by ``spla.splu`` with minimum-degree ordering on
+A^T + A (``permc_spec="MMD_AT_PLUS_A"``).  On large grids (65 or more
+nodes per axis) the factor is kept across iterations, a chord step,
+until a step is damped or cuts the residual max-norm by less than 4x;
+then the Hessian is refactored.  Such a grid also starts, when it
+halves cleanly, from the tensor-product cubic prolongation of the
+solve on the halved grid (nested iteration), instead of the harmonic
+smoother.  Smaller grids, the first-variation oracle's, refactor at every
+iteration, so their solves do not depend on the reuse policy.
+
+``solve_dirichlet`` reports in ``GridGraph.info`` the iterations, the
+back-substitutions (``linear_solves``, the harmonic smoother's included)
+and the factorizations they used (``factorizations``), the seconds spent
+in them and in Hessian assembly (``linear_solve_s``, ``hessian_s``), the
+smoother's outcome (``smoother``) and the coarse grid the solve started
+from (``coarse_start``, or None).  The counters cover the returned grid's
+work, not the coarse solve's.
 """
 
 import functools
@@ -42,6 +53,12 @@ from .dual import Dual, value as _value
 from .errors import NoConvergence, NonFinite, SingularJacobian
 
 _LINESEARCH_DECREASE = 1e-4
+# Grids with at least this many nodes per axis keep the Hessian factor
+# across Newton iterations and, when they halve cleanly, start from the
+# coarse solve.  The first-variation oracle's grids (at most 33 per axis)
+# stay below it: the base solve's round-off feeds the graph-slope fields,
+# and a fresh factor every iteration keeps those solves reproducible.
+_LARGE_GRID_NODES = 65
 
 
 @dataclass
@@ -181,7 +198,9 @@ def solve_dirichlet(
     residual max-norm drops below ``tolerance_factor * (1 + |action|)``.
     Falls back to gradient descent when the Newton system is singular or
     stalls, then retries Newton; raises :class:`NoConvergence` after
-    ``max_iterations`` total iterations.
+    ``max_iterations`` total iterations.  Without ``init``, a
+    non-quadratic ``L`` on a grid of 65 or more nodes per axis that halves
+    cleanly starts from the solve on the halved grid.
     """
     if not L.supports_dual:
         raise ValueError(
@@ -191,18 +210,34 @@ def solve_dirichlet(
     domain = tuple((float(lo), float(hi)) for lo, hi in domain)
     resolution = _normalize_resolution(resolution, L.p)
     bvals = _boundary_array(L, boundary_data, domain, resolution)
+    return _solve(L, bvals, domain, resolution, init, max_iterations, tolerance_factor)
+
+
+def _solve(L, bvals, domain, resolution, init, max_iterations, tolerance_factor):
+    """Pick the start (coarse solve, smoother or ``init``), run Newton, and
+    wrap the result with this grid's counters."""
     counters = _SolveCounters()
+    mask = boundary_mask(resolution)
+    coarse_res = None if init is not None or L.quadratic else _coarse_resolution(resolution)
+    if coarse_res is not None:
+        try:
+            coarse = _solve(
+                L, bvals[(slice(None, None, 2),) * L.p], domain, coarse_res,
+                None, max_iterations, tolerance_factor,
+            )
+            init = _prolong(coarse.values)
+        except (NoConvergence, SingularJacobian):
+            coarse_res = None
     if init is None:
         values, smoother = _default_init(L, bvals, domain, resolution, counters)
     else:
         values = np.array(init, dtype=float)
-        mask = boundary_mask(resolution)
         values[mask] = bvals[mask]
         smoother = "not run"
     values, info = _newton(
         L, values, domain, resolution, max_iterations, tolerance_factor, counters
     )
-    info.update(asdict(counters), smoother=smoother)
+    info.update(asdict(counters), smoother=smoother, coarse_start=coarse_res)
     return GridGraph(
         p=L.p,
         codim=L.codim,
@@ -250,6 +285,52 @@ def observed_orders(errors):
     """log2 ratios of successive errors under mesh halving."""
     e = [float(v) for v in errors]
     return [np.log2(a / b) for a, b in zip(e, e[1:])]
+
+
+def _lagrange_cubics(nodes) -> np.ndarray:
+    """Entry [a, k]: coefficient of u^k in the Lagrange cubic of node a."""
+    return np.array(
+        [np.poly(np.delete(nodes, a))[::-1] / np.prod(nodes[a] - np.delete(nodes, a)) for a in range(4)]
+    )
+
+
+# Indexed by -o for the stencil ticks o, o+1, o+2, o+3 around u = 0.
+_CUBIC_BASES = np.array([_lagrange_cubics(np.arange(4) - k) for k in range(4)])
+_MIDPOINT_POWERS = np.array([1.0, 0.5, 0.25, 0.125])
+
+
+def _cubic_table(ring) -> np.ndarray:
+    """Cubic coefficients of data sampled on uniform ticks, one row per tick.
+
+    Row i holds, in u = (r - t_i)/h, the monomial coefficients of the
+    Lagrange cubic through the four ticks nearest [t_i, t_(i+1)] (one-sided
+    at the ends); the last row re-centres the last interval's cubic on the
+    last tick.  The constant coefficient of row i is exactly the sample
+    at t_i, so every tick is reproduced exactly.  Shape (*ring.shape, 4).
+    """
+    ticks = np.arange(len(ring))
+    starts = np.clip(ticks - 1, 0, len(ring) - 4)
+    stencils = ring[starts[:, None] + np.arange(4)]
+    return np.einsum("rak,ra...->r...k", _CUBIC_BASES[ticks - starts], stencils)
+
+
+def _prolong(values) -> np.ndarray:
+    """Tensor-product cubic prolongation of node values to the halved grid.
+
+    ``values`` has shape ``(*resolution, n-p)``; the result has
+    ``2 r - 1`` nodes on each base axis.  Along each axis the even nodes
+    copy the coarse ones and the odd nodes take the local cubic of
+    :func:`_cubic_table` at the interval midpoint, so a polynomial of
+    degree at most 3 in each variable is reproduced exactly.
+    """
+    out = np.asarray(values, dtype=float)
+    for axis in range(out.ndim - 1):
+        coarse = np.moveaxis(out, axis, 0)
+        fine = np.empty((2 * len(coarse) - 1, *coarse.shape[1:]))
+        fine[0::2] = coarse
+        fine[1::2] = _cubic_table(coarse)[:-1] @ _MIDPOINT_POWERS
+        out = np.moveaxis(fine, 0, axis)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +531,21 @@ def _hessian_pattern(resolution, m) -> _HessianPattern:
 
 @dataclass
 class _SolveCounters:
-    """Linear-algebra work of one ``solve_dirichlet`` call, smoother included."""
+    """Linear-algebra work of one ``solve_dirichlet`` grid, smoother included.
+
+    ``linear_solves`` counts back-substitutions, ``factorizations`` the
+    SuperLU factors they used; ``linear_solve_s`` times both.
+    """
 
     linear_solves: int = 0
+    factorizations: int = 0
     linear_solve_s: float = 0.0
     hessian_s: float = 0.0
+
+
+# A reused factor is kept only while each full step cuts the residual
+# max-norm at least this much.
+_REUSE_CONTRACTION = 0.25
 
 
 def _newton(L, values, domain, resolution, max_iterations, tolerance_factor, counters):
@@ -464,6 +555,8 @@ def _newton(L, values, domain, resolution, max_iterations, tolerance_factor, cou
     history = []
     descent_rounds = 0
     carried = None  # (gradient, action) of ``values`` from an accepted line search
+    factor = None  # SuperLU of the interior Hessian at an earlier iterate
+    keep_factor = min(resolution) >= _LARGE_GRID_NODES
     it = 0
     while it < max_iterations:
         it += 1
@@ -481,59 +574,91 @@ def _newton(L, values, domain, resolution, max_iterations, tolerance_factor, cou
                 "action_history": history,
                 "descent_rounds": descent_rounds,
             }
-        t0 = time.perf_counter()
-        K_int = cells.hessian(values)
-        t1 = time.perf_counter()
-        counters.hessian_s += t1 - t0
-        step = None
-        try:
-            with np.errstate(all="ignore"):
-                # The interior Hessian is symmetric: order on A^T + A.
-                delta = spla.spsolve(K_int, -g, permc_spec="MMD_AT_PLUS_A")
-            if np.all(np.isfinite(delta)):
-                step = delta
-        except RuntimeError:
-            step = None
-        counters.linear_solves += 1
-        counters.linear_solve_s += time.perf_counter() - t1
-        accepted = False
-        if step is not None:
-            gnorm = float(np.max(np.abs(g)))
-            alpha = 1.0
-            for _ in range(30):
-                trial = values.copy()
-                flat = trial.reshape(-1)
-                flat[interior] += alpha * step
-                try:
-                    tg, tA = cells.gradient(trial)
-                except NonFinite:
-                    alpha *= 0.5
-                    continue
-                tnorm = float(np.max(np.abs(tg.reshape(-1)[interior])))
-                if tnorm <= (1.0 - _LINESEARCH_DECREASE * alpha) * gnorm:
-                    values = trial
-                    carried = (tg, tA)
-                    accepted = True
-                    break
-                alpha *= 0.5
-        if not accepted:
-            # Singular or stalled Newton system: descend on the action.
-            descent_rounds += 1
-            if descent_rounds > 5:
-                raise SingularJacobian(
-                    "Newton system unusable and gradient descent made no progress"
-                )
-            values, made_progress = _descent(cells, values, interior, steps=50)
-            if not made_progress:
-                raise SingularJacobian(
-                    "gradient-descent fallback could not reduce the action"
-                )
+        gnorm = float(np.max(np.abs(g)))
+        while True:
+            fresh = factor is None
+            if fresh:
+                factor = _factorize(cells, values, counters)
+            step = _back_substitute(factor, -g, counters)
+            found = None if step is None else _line_search(cells, values, interior, step, gnorm)
+            if found is not None or fresh:
+                break
+            factor = None  # the kept factor failed here: refactor at these values
+        if found is not None:
+            values, carried, alpha, tnorm = found
+            if not keep_factor or alpha < 1.0 or tnorm > _REUSE_CONTRACTION * gnorm:
+                factor = None
+            continue
+        # Singular or stalled Newton system: descend on the action.
+        factor = None
+        descent_rounds += 1
+        if descent_rounds > 5:
+            raise SingularJacobian(
+                "Newton system unusable and gradient descent made no progress"
+            )
+        values, made_progress = _descent(cells, values, interior, steps=50)
+        if not made_progress:
+            raise SingularJacobian(
+                "gradient-descent fallback could not reduce the action"
+            )
     grad, A = carried if carried is not None else cells.gradient(values)
     res = float(np.max(np.abs(grad.reshape(-1)[interior]))) / cells.cell_volume
     raise NoConvergence(
         f"no convergence after {max_iterations} iterations "
         f"(residual {res:.3e}, tolerance {tolerance_factor * (1 + abs(A)):.3e})"
     )
+
+
+def _factorize(cells, values, counters):
+    """SuperLU factor of the interior Hessian at ``values``; None if singular."""
+    t0 = time.perf_counter()
+    K_int = cells.hessian(values)
+    t1 = time.perf_counter()
+    counters.hessian_s += t1 - t0
+    try:
+        with np.errstate(all="ignore"):
+            # The interior Hessian is symmetric: order on A^T + A.
+            factor = spla.splu(K_int, permc_spec="MMD_AT_PLUS_A")
+        counters.factorizations += 1
+    except RuntimeError:
+        factor = None
+    counters.linear_solve_s += time.perf_counter() - t1
+    return factor
+
+
+def _back_substitute(factor, rhs, counters):
+    """The Newton step from ``factor``, or None when it is missing or not finite."""
+    if factor is None:
+        return None
+    t0 = time.perf_counter()
+    with np.errstate(all="ignore"):
+        step = factor.solve(rhs)
+    counters.linear_solves += 1
+    counters.linear_solve_s += time.perf_counter() - t0
+    return step if np.all(np.isfinite(step)) else None
+
+
+def _line_search(cells, values, interior, step, gnorm):
+    """Backtrack on the residual max-norm along ``step``.
+
+    Returns ``(values, (gradient, action), alpha, residual max-norm)`` of
+    the accepted trial, or None after 30 halvings.
+    """
+    alpha = 1.0
+    for _ in range(30):
+        trial = values.copy()
+        flat = trial.reshape(-1)
+        flat[interior] += alpha * step
+        try:
+            tg, tA = cells.gradient(trial)
+        except NonFinite:
+            alpha *= 0.5
+            continue
+        tnorm = float(np.max(np.abs(tg.reshape(-1)[interior])))
+        if tnorm <= (1.0 - _LINESEARCH_DECREASE * alpha) * gnorm:
+            return trial, (tg, tA), alpha, tnorm
+        alpha *= 0.5
+    return None
 
 
 def _descent(cells, values, interior, steps):
@@ -567,6 +692,13 @@ def _descent(cells, values, interior, steps):
 
 # ---------------------------------------------------------------------------
 # Initialization and input handling
+
+
+def _coarse_resolution(resolution):
+    """The halved grid a solve starts from, or None when there is none."""
+    if all(r % 2 == 1 and r >= _LARGE_GRID_NODES for r in resolution):
+        return tuple((r + 1) // 2 for r in resolution)
+    return None
 
 
 def _normalize_resolution(resolution, p):

@@ -300,3 +300,31 @@ def test_too_small_resolution_is_a_usage_error(runner, command):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "at least 5 nodes" in result.output
+
+
+@pytest.mark.parametrize("domain", ["0,0;0,1", "1,0;0,1", "0,1;2,2"])
+def test_degenerate_domain_is_a_usage_error(runner, domain):
+    args = ["solve", "--lagrangian", "area3", "--resolution", "5", "--boundary", "0",
+            "--domain", domain]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "lo < hi" in result.output
+
+
+def test_verify_prints_the_field_order(runner):
+    result = runner.invoke(
+        main,
+        ["verify", "--lagrangian", "area3", "--resolution", "33", "--boundary", "x1*x2",
+         "--field", "frame", "--field", "tangent:1", "--psi", "random", "--seed", "0"],
+    )
+    assert result.exit_code == 0, result.output
+    lines = result.output.strip().split("\n")
+    assert len(lines) == 5
+    assert lines[1].split()[-1] == "normal"
+    assert lines[2].split()[-1] == "non-normal"
+    name, order = lines[3].split(": field order ")
+    assert name == "frame"
+    assert order.endswith(" (normal in the limit)")
+    assert 1.8 <= float(order.split()[0]) <= 2.2
+    assert lines[4].startswith("tangent:1: field order ")
+    assert "limit" not in lines[4]

@@ -167,16 +167,23 @@ def test_descent_fallback_recovers(monkeypatch):
 
     from cartanarea import extremal
 
-    real_spsolve = spla.spsolve
+    real_splu = spla.splu
     calls = {"n": 0}
 
-    def flaky(A, b, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return np.full_like(np.asarray(b), np.nan)
-        return real_spsolve(A, b, **kwargs)
+    class FlakyFactor:
+        def __init__(self, lu):
+            self.lu = lu
 
-    monkeypatch.setattr(extremal.spla, "spsolve", flaky)
+        def solve(self, b):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return np.full_like(np.asarray(b), np.nan)
+            return self.lu.solve(b)
+
+    def flaky(A, **kwargs):
+        return FlakyFactor(real_splu(A, **kwargs))
+
+    monkeypatch.setattr(extremal.spla, "splu", flaky)
     L = lag.area_hypersurface(3)
     sol = solve_dirichlet(L, scherk, SCHERK_DOM, 9, init=np.zeros((9, 9, 1)))
     assert sol.info["converged"]
@@ -280,6 +287,8 @@ def test_solve_info_counters():
     sol = solve_dirichlet(L, scherk, SCHERK_DOM, 17)
     info = sol.info
     assert info["linear_solves"] >= info["iterations"] - 1
+    assert 1 <= info["factorizations"] <= info["linear_solves"]
+    assert info["coarse_start"] is None
     assert info["linear_solve_s"] > 0.0
     assert info["hessian_s"] > 0.0
     assert info["smoother"] == "converged"
@@ -307,3 +316,95 @@ def test_default_init_smooths_by_property_not_name(monkeypatch):
     sol = solve_dirichlet(L, scherk, SCHERK_DOM, 9)
     assert sol.info["smoother"] == "NoConvergence: stub"
     assert sol.info["converged"]
+
+
+def test_coarse_start_matches_smoother_start(monkeypatch):
+    # 65 nodes halve to 33: the solve starts from the coarse solution and
+    # must land on the same discrete minimum as the smoother's start
+    L = lag.area_hypersurface(3)
+    coarse = solve_dirichlet(L, scherk, SCHERK_DOM, 65)
+    assert coarse.info["coarse_start"] == (33, 33)
+    assert coarse.info["smoother"] == "not run"
+    assert coarse.info["factorizations"] <= 2
+    monkeypatch.setattr(extremal, "_coarse_resolution", lambda resolution: None)
+    smooth = solve_dirichlet(L, scherk, SCHERK_DOM, 65)
+    assert smooth.info["coarse_start"] is None
+    assert smooth.info["smoother"] == "converged"
+    assert np.max(np.abs(coarse.values - smooth.values)) <= 1e-12
+
+
+def test_coarse_start_needs_a_clean_halving():
+    assert extremal._coarse_resolution((65, 65)) == (33, 33)
+    assert extremal._coarse_resolution((129, 65)) == (65, 33)
+    assert extremal._coarse_resolution((33, 33)) is None
+    assert extremal._coarse_resolution((64, 65)) is None
+    assert extremal._coarse_resolution((65, 33)) is None
+    # a given init or a quadratic Lagrangian keeps its own start
+    L = lag.area_hypersurface(3)
+    given = solve_dirichlet(L, scherk, SCHERK_DOM, 65, init=np.zeros((65, 65, 1)))
+    assert given.info["coarse_start"] is None
+    quad = solve_dirichlet(lag.dirichlet(3, 2), scherk, SCHERK_DOM, 65)
+    assert quad.info["coarse_start"] is None
+
+
+def test_poor_init_forces_refactorization():
+    # from a flat start the first full steps are damped or contract slowly,
+    # so the Hessian factor cannot be kept
+    L = lag.area_hypersurface(3)
+    sol = solve_dirichlet(L, scherk, SCHERK_DOM, 17, init=np.zeros((17, 17, 1)))
+    assert sol.info["converged"]
+    assert sol.info["smoother"] == "not run"
+    assert sol.info["factorizations"] > 1
+    assert sol.info["factorizations"] <= sol.info["linear_solves"]
+    assert np.max(np.abs(el_residual(L, sol))) <= 1e-10 * (1.0 + sol.info["action"])
+
+
+def test_cubic_prolongation_reproduces_a_bicubic():
+    def bicubic(x, y):
+        return np.stack(
+            [1.0 - x + 2.0 * x**3 * y**2 - 0.5 * y**3 * x, x**2 * y**3 - 3.0 * x * y + y], axis=-1
+        )
+
+    dom = ((-0.3, 0.9), (0.2, 1.0))
+    grids = {}
+    for r in ((9, 7), (17, 13)):
+        axes = grid_axes(dom, r)
+        grids[r] = bicubic(*np.meshgrid(axes[0], axes[1], indexing="ij"))
+    fine = extremal._prolong(grids[(9, 7)])
+    assert fine.shape == grids[(17, 13)].shape
+    assert np.max(np.abs(fine - grids[(17, 13)])) <= 1e-13
+    # a quartic is not reproduced: the test above is not vacuous
+    axes = grid_axes(dom, (9, 7))
+    X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
+    quartic = extremal._prolong((X**4)[..., None])[1::2, ::2, 0]
+    axes = grid_axes(dom, (17, 13))
+    assert np.max(np.abs(quartic - axes[0][1::2, None] ** 4)) > 1e-6
+
+
+def test_failed_step_on_a_kept_factor_refactors(monkeypatch):
+    # a step from a kept factor that is unusable must refactor at the
+    # current values before any descent
+    import scipy.sparse.linalg as spla
+
+    L = lag.area_hypersurface(3)
+    # the coarse start: its first full step contracts well, so the factor is kept
+    init = extremal._prolong(solve_dirichlet(L, scherk, SCHERK_DOM, 33).values)
+    real_splu = spla.splu
+    calls = {"solve": 0}
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            calls["solve"] += 1
+            if calls["solve"] == 2:
+                return np.full_like(np.asarray(b), np.nan)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(extremal.spla, "splu", lambda A, **kw: Factor(real_splu(A, **kw)))
+    sol = solve_dirichlet(L, scherk, SCHERK_DOM, 65, init=init)
+    assert sol.info["converged"]
+    assert sol.info["descent_rounds"] == 0
+    assert sol.info["factorizations"] == 2
+    assert sol.info["linear_solves"] >= 3
