@@ -359,19 +359,22 @@ def verify(lagrangian, dims, graph_path, domain, resolution, boundary, fields, p
         lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
         for r in table:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-        lines += _field_order_notes(rows)
+        lines += _row_notes(rows)
         text = "\n".join(lines) + "\n"
     _emit(text, output)
 
 
-def _field_order_notes(rows):
-    """One line per row whose grid-derived field had its order measured."""
+def _row_notes(rows):
+    """One line per row whose grid-derived field had its order measured, or
+    whose report gives a reason for its verdict (a corner tear, a chart exit)."""
     notes = []
     for row in rows:
         diag = {} if row.report is None else row.report.diagnostics
         if "field_order" in diag:
             tail = " (normal in the limit)" if diag.get("reason") == "normal-in-the-limit" else ""
             notes.append(f"{row.name}: field order {fmt(diag['field_order'])}{tail}")
+        elif "reason" in diag:
+            notes.append(f"{row.name}: {row.report.classification} ({diag['reason']})")
     return notes
 
 

@@ -287,15 +287,14 @@ def observed_orders(errors):
     return [np.log2(a / b) for a, b in zip(e, e[1:])]
 
 
-def _lagrange_cubics(nodes) -> np.ndarray:
-    """Entry [a, k]: coefficient of u^k in the Lagrange cubic of node a."""
-    return np.array(
-        [np.poly(np.delete(nodes, a))[::-1] / np.prod(nodes[a] - np.delete(nodes, a)) for a in range(4)]
-    )
+def _lagrange_basis(nodes) -> np.ndarray:
+    """Entry [a, k]: coefficient of u^k in the Lagrange polynomial of node a."""
+    rest = [np.delete(nodes, a) for a in range(len(nodes))]
+    return np.array([np.poly(r)[::-1] / np.prod(x - r) for x, r in zip(nodes, rest)])
 
 
 # Indexed by -o for the stencil ticks o, o+1, o+2, o+3 around u = 0.
-_CUBIC_BASES = np.array([_lagrange_cubics(np.arange(4) - k) for k in range(4)])
+_CUBIC_BASES = np.array([_lagrange_basis(np.arange(4) - k) for k in range(4)])
 _MIDPOINT_POWERS = np.array([1.0, 0.5, 0.25, 0.125])
 
 

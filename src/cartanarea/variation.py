@@ -6,20 +6,24 @@ m + t*psi(m)*N(m)), re-fit the base domain, re-solve the extremal
 problem, and difference the actions in t.  A deformation field is
 normal exactly when dA/dt at t = 0 vanishes for every intensity psi.
 
-Two re-fit strategies cover the deformed base domain.  When every edge
-is displaced rigidly in its normal direction (up to roundoff) the
-domain stays a box and the re-solve is exact.  Otherwise the deformed
-region bounded by the displaced edge curves is mapped back to the
-original box by a transfinite (Coons) patch and the integrand is pulled
-back through that map, so the re-solve runs on the exact deformed
-domain with no boundary re-projection error.
+One re-fit covers the deformed base domain.  The displaced edge curves
+bound the deformed region, a transfinite (Coons) patch maps the original
+box onto it, and the integrand is pulled back through that map, so the
+re-solve runs on the deformed domain on the original grid.  The curve
+nodes follow their boundary points, except that a corner sliding along
+an edge stretches the whole edge.  Rigidly moved edges give an affine
+map: the midpoint scheme on the moved box.
 
-One boundary sampler per graph (:class:`_BoundaryData`) feeds both
-re-fits, the boundary formula and the graph-slope lookup of the
-fields.  It holds the Dirichlet data (the user's callable, else the ring
-values) and the ring slopes, interpolates them along each edge by local
-cubics that are exact at the nodes, and turns run-parameters on an edge
-into base points, fiber values and displacements.
+A corner whose displacement leaves a neighbouring edge's limit normal to
+that edge tears off it.  No re-fit closes that gap uniquely, so such a
+row reads ``inconclusive`` (``corner-tear``).
+
+One boundary sampler per graph (:class:`_BoundaryData`) feeds the
+re-fit, the corner-tear check, the boundary formula and the graph-slope
+lookup of the fields.  It holds the Dirichlet data (the user's callable,
+else the ring values) and the ring slopes, interpolates them along each
+edge by local cubics that are exact at the nodes, and turns
+run-parameters on an edge into base points and fiber values.
 
 A frame, tangent or Euclidean-normal field built from the solved graph's
 own slopes carries their O(h^2) error, so a field that is normal in the
@@ -28,6 +32,7 @@ which its boundary-formula value falls when the field is rebuilt on the
 coarse base that the formula's extrapolation already solves.
 """
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field, replace
@@ -39,6 +44,7 @@ from .errors import ChartExit, NoConvergence, NonFinite, NotCritical, SingularJa
 from .extremal import (
     GridGraph,
     _cubic_table,
+    _lagrange_basis,
     action,
     el_residual,
     grid_axes,
@@ -58,6 +64,11 @@ MAX_HALVINGS = 4
 # A field built from a graph's own slopes reads normal in the limit when
 # its formula value falls at least at this order under grid halving.
 FIELD_ORDER_MIN = 1.5
+# An edge's one-sided limit at a corner is taken from points this fraction
+# of the edge inside; a corner is torn when its displacement leaves that
+# limit, normal to the edge, by more than _TEAR_TOL of its size.
+_CORNER_OFFSET = 1e-5
+_TEAR_TOL = 1e-7
 
 
 @dataclass
@@ -103,9 +114,9 @@ def first_variation_fd(L, boundary_data, domain, resolution, spec: DeformationSp
     Classification: ``normal`` when both stencils see |dA/dt| below
     tol_abs + tol_rel*|A0|; ``non-normal`` when the value is resolved
     (stencils agree) and above tolerance; ``inconclusive`` otherwise,
-    including re-solve failures and chart exits after 4 step halvings.
-    A field built from the graph's own slopes that is normal only in the
-    grid limit reads ``normal`` (see :func:`_variation_from_base`).
+    including re-solve failures, torn corners and chart exits after 4
+    step halvings.  A field built from the graph's own slopes that is
+    normal only in the grid limit reads ``normal`` (:func:`_variation_from_base`).
     The re-solves at the four stencil offsets are independent of each
     other; they run sequentially so the report is deterministic.
     """
@@ -113,7 +124,9 @@ def first_variation_fd(L, boundary_data, domain, resolution, spec: DeformationSp
     return _variation_from_base(L, base, boundary_data, spec)
 
 
-def first_variation_boundary(L, graph: GridGraph, spec: DeformationSpec) -> float:
+def first_variation_boundary(
+    L, graph: GridGraph, spec: DeformationSpec | list[DeformationSpec]
+) -> float | list[float]:
     """The boundary line integral giving dA/dt on a critical graph.
 
     At each boundary node, with X = psi*N and the vertical velocity
@@ -121,8 +134,12 @@ def first_variation_boundary(L, graph: GridGraph, spec: DeformationSpec) -> floa
     the momentum flux sum_i (dL/dq^i_j) df^i/dt + L X^j paired with the
     outward base normal.  Fourth-order slope stencils and Simpson
     integration keep the formula's bias below the re-solve oracle's.
+    ``spec`` may also be a sequence of specs: the momenta at the nodes do
+    not depend on the field, so they are computed once and paired with
+    each, and a list of values comes back.
     Raises :class:`NotCritical` off shell, where the formula is invalid.
     """
+    specs = [spec] if isinstance(spec, DeformationSpec) else list(spec)
     A = action(L, graph).value
     res = float(np.max(np.abs(el_residual(L, graph))))
     if res > 1e-10 * (1.0 + abs(A)):
@@ -130,23 +147,25 @@ def first_variation_boundary(L, graph: GridGraph, spec: DeformationSpec) -> floa
             f"graph residual {res:.3e} exceeds 1e-10*(1+|A|); formula is off-shell"
         )
     bd = _BoundaryData(graph)
+    totals = [0.0] * len(specs)
+
+    def add(nu, axis, x, z, q, quadrature):
+        # nu: outward sign; axis: the base normal's axis
+        nodes = [(grad_q(L, *args), L(*args), args[2]) for args in zip(x, z, q)]
+        for k, s in enumerate(specs):
+            d = _displacements(s, x, z)
+            totals[k] += quadrature(np.array([nu * boundary_flux(*nd, dk)[axis] for nd, dk in zip(nodes, d)]))
+
     if graph.p == 1:
-        total = 0.0
-        for side, nu in ((0, -1.0), (1, 1.0)):
-            x, z, d = bd.end(spec, side)
-            total += nu * _flux_vector(L, x, z, bd.end_slopes[side], d)[0]
-        return float(total)
-    total = 0.0
-    for edge in _EDGES:
-        nu_sign = -1.0 if edge.side == 0 else 1.0
-        r = graph.axes[edge.run_axis]
-        x, z, d = bd.sample(spec, edge, r)
-        q = bd.slopes(edge, r)
-        integrand = np.array(
-            [nu_sign * _flux_vector(L, *args)[edge.normal_axis] for args in zip(x, z, q, d)]
-        )
-        total += _simpson(integrand, graph.steps[edge.run_axis])
-    return total
+        for side in (0, 1):
+            x, z = bd.end_point(side)
+            add(2.0 * side - 1.0, 0, x[None], z[None], bd.end_slopes[side][None], lambda v: v[0])
+    else:
+        for edge in _EDGES:
+            r = graph.axes[edge.run_axis]
+            add(2.0 * edge.side - 1.0, edge.normal_axis, *bd.points(edge, r), bd.slopes(edge, r),
+                lambda v: _simpson(v, graph.steps[edge.run_axis]))
+    return totals[0] if isinstance(spec, DeformationSpec) else totals
 
 
 @dataclass
@@ -295,6 +314,10 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     mesh-doubled (coarser) grid and Richardson-extrapolated before
     differencing; the diagnostics keep both levels.
 
+    A displacement that tears a corner off a neighbouring edge
+    (:func:`_corner_tear`) makes the row ``inconclusive``
+    (``diagnostics["reason"]`` is ``"corner-tear"``); its numbers stay.
+
     A ``non-normal`` row whose direction was built from the base graph's
     own slopes (:func:`graph_slopes_fn`) is judged in the limit: the
     field is rebuilt on the coarse base and its formula value re-taken.
@@ -306,6 +329,7 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     A0 = action(L, base).value
     domain, resolution = base.domain, base.resolution
     bd = _BoundaryData(base, boundary_data)
+    torn = base.p == 2 and _corner_tear(bd, spec)
 
     def coarse_data(stride):
         # The user's callable, else the base nodes the coarser grid keeps.
@@ -358,7 +382,6 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
         if all(r >= 5 and (rf - 1) == 2 * (r - 1) for r, rf in zip(coarse2, coarse_res)):
             bases.append(solve_dirichlet(L, coarse_data(4), domain, coarse2))
     solves += len(bases) - 1
-    bval = _extrapolated_formula(L, bases, spec)
     tol = TOL_ABS + TOL_REL * abs(A0)
     noise = abs(central - order4)
     if abs(central) <= tol and abs(order4) <= 10.0 * tol:
@@ -374,16 +397,19 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
         "actions": {float(t): tuple(map(float, a)) for t, a in sorted(actions.items())},
         "solves": solves,
     }
-    if classification == "non-normal":
-        order = _grid_field_order(L, spec, bases, bval)
-        if order is not None:
-            diagnostics["field_order"] = order
-            if (
-                abs(bval - central) <= formula_budget(central, A0)
-                and order >= FIELD_ORDER_MIN
-            ):
-                classification = "normal"
-                diagnostics["reason"] = "normal-in-the-limit"
+    if torn:
+        classification = "inconclusive"
+        diagnostics["reason"] = "corner-tear"
+    rebuilt = _coarse_rebuild(spec, bases) if classification == "non-normal" else None
+    bval, *rebuilt_bval = _extrapolated_formula(L, bases, [spec] if rebuilt is None else [spec, rebuilt])
+    if rebuilt_bval:
+        # The rebuilt field's formula value grows by 2^order.
+        ratio = rebuilt_bval[0] / bval if bval != 0.0 else float("nan")
+        order = float(math.log2(ratio)) if ratio > 0.0 else float("nan")
+        diagnostics["field_order"] = order
+        if abs(bval - central) <= formula_budget(central, A0) and order >= FIELD_ORDER_MIN:
+            classification = "normal"
+            diagnostics["reason"] = "normal-in-the-limit"
     return VariationReport(
         A0=A0,
         dA_dt=float(central),
@@ -399,46 +425,38 @@ def formula_budget(dA_dt, A0):
     return max(1e-4 * abs(dA_dt), 1e-6 * (1.0 + A0))
 
 
-def _extrapolated_formula(L, bases, spec):
-    """The boundary formula on each base, Richardson-extrapolated.
+def _extrapolated_formula(L, bases, specs):
+    """The boundary formula of each spec, Richardson-extrapolated.
 
     ``bases`` are the base graph and up to two mesh-doubled (coarser)
     solves of the same problem, finest first.
     """
-    b = [first_variation_boundary(L, g, spec) for g in bases]
-    if len(b) == 1:
-        return b[0]
-    level1 = (4.0 * b[0] - b[1]) / 3.0
-    if len(b) == 2:
-        return level1
-    level1_coarse = (4.0 * b[1] - b[2]) / 3.0
-    return (8.0 * level1 - level1_coarse) / 7.0
+    values = []
+    for b in zip(*(first_variation_boundary(L, g, specs) for g in bases)):
+        level1 = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(b, b[1:])] or [b[0]]
+        values.append(level1[0] if len(level1) == 1 else (8.0 * level1[0] - level1[1]) / 7.0)
+    return values
 
 
-def _grid_field_order(L, spec, bases, bval):
-    """Observed order of a field built from the base graph's own slopes.
-
-    Such a field carries the O(h^2) error of the discrete slopes, so a
-    truly normal one still moves the action.  Rebuilt on the coarse base's
-    slopes, its extrapolated formula value F grows by 2^order; returns
-    log2(F(coarse field) / F(field)), NaN when the two differ in sign, or
-    None when the field is not grid-derived or there is no coarse base.
-    """
+def _coarse_rebuild(spec, bases):
+    """The spec with its field rebuilt on the coarse base's slopes; None
+    without a coarse base or a field built from the base's own slopes."""
     field_fn = inspect.unwrap(spec.direction)
     slopes = getattr(field_fn, "slopes_fn", None)
-    if len(bases) < 2 or not isinstance(slopes, _BoundaryData):
+    if len(bases) < 2 or not isinstance(slopes, _BoundaryData) or slopes.resolution != bases[0].resolution:
         return None
-    if slopes.resolution != bases[0].resolution:
-        return None
-    coarse_field = field_fn.rebuild(graph_slopes_fn(bases[1]))
-    coarse_bval = _extrapolated_formula(L, bases, replace(spec, direction=coarse_field))
-    ratio = coarse_bval / bval if bval != 0.0 else float("nan")
-    return float(math.log2(ratio)) if ratio > 0.0 else float("nan")
+    return replace(spec, direction=field_fn.rebuild(graph_slopes_fn(bases[1])))
 
 
-def _flux_vector(L, x, z, q, X):
-    """Momentum flux G_j = sum_i (dL/dq^i_j) df^i/dt + L X^j at one point."""
-    return boundary_flux(grad_q(L, x, z, q), L(x, z, q), q, X)
+def _corner_tear(bd, spec) -> bool:
+    """Whether a corner's jump against an edge (:func:`_corner_jumps`) has
+    a part normal to the edge, above ``_TEAR_TOL`` of the displacements."""
+    torn, size = 0.0, 0.0
+    for edge in _EDGES:
+        (_, _, d), jumps = _corner_jumps(bd, spec, edge, np.array(bd.domain[edge.run_axis]))
+        size = max(size, np.max(np.abs(d[:, : bd.p])))
+        torn = max(torn, np.max(np.abs(jumps[:, edge.normal_axis])))
+    return torn > _TEAR_TOL * size
 
 
 def _simpson(vals, h):
@@ -519,20 +537,17 @@ class _BoundaryData:
             return np.array([self._dirichlet(xk) for xk in x])
         return self._interp(edge, 0, x[:, edge.run_axis])
 
-    def sample(self, spec: DeformationSpec, edge: _Edge, r):
-        """Base points (k, 2), fiber values (k, n-p) and displacements (k, n)
-        at the run-parameters r of ``edge``."""
+    def points(self, edge: _Edge, r):
+        """Base points (k, 2) and fiber values (k, n-p) at run-parameters r."""
         x = np.empty((len(r), 2))
         x[:, edge.run_axis] = r
         x[:, edge.normal_axis] = self.domain[edge.normal_axis][edge.side]
-        z = self.values(edge, x)
-        return x, z, np.array([spec.displacement(np.concatenate([xk, zk])) for xk, zk in zip(x, z)])
+        return x, self.values(edge, x)
 
-    def end(self, spec: DeformationSpec, side: int):
-        """(p = 1) Base point, fiber value and displacement at an endpoint."""
+    def end_point(self, side: int):
+        """(p = 1) Base point and fiber value at an endpoint."""
         x = np.array([self.domain[0][side]])
-        z = self.end_values[side] if self.dirichlet is None else self._dirichlet(x)
-        return x, z, spec.displacement(np.concatenate([x, z]))
+        return x, self.end_values[side] if self.dirichlet is None else self._dirichlet(x)
 
     def _dirichlet(self, x):
         return np.broadcast_to(np.asarray(self.dirichlet(x), dtype=float), (self.codim,))
@@ -548,129 +563,116 @@ class _BoundaryData:
         return np.einsum("k...j,jk->k...", coeffs, np.array([np.ones_like(u), u, u * u, u * u * u]))
 
 
+def _displacements(spec, x, z):
+    return np.array([spec.displacement(np.concatenate([xk, zk])) for xk, zk in zip(x, z)])
+
+
 def _deformed_action(L, bd: _BoundaryData, domain, resolution, spec, t) -> float:
+    L_t, ring, domain_t = _deformed_problem(L, bd, domain, resolution, spec, t)
+    return action(L_t, solve_dirichlet(L_t, ring, domain_t, resolution)).value
+
+
+def _deformed_problem(L, bd: _BoundaryData, domain, resolution, spec, t):
+    """``(L_t, ring, domain_t)`` for :func:`solve_dirichlet` on the
+    boundary displaced to offset t.  For p = 1 the endpoints move and the
+    interval is re-gridded.  For p = 2, L is pulled back through the Coons
+    patch of the displaced edge curves (:func:`_displaced_edge`).
+    """
     if L.p == 1:
-        ends = []
+        ring, ends = np.zeros((resolution[0], L.codim)), []
         for side in (0, 1):
-            x, z, d = bd.end(spec, side)
-            ends.append((x[0] + t * d[0], z + t * d[1:]))
-        (b_lo, z_lo), (b_hi, z_hi) = ends
-        if not b_lo < b_hi:
-            raise ChartExit(f"deformed interval degenerate: [{b_lo}, {b_hi}]")
-        bvals = np.zeros((resolution[0], L.codim))
-        bvals[0], bvals[-1] = z_lo, z_hi
-        sol = solve_dirichlet(L, bvals, ((b_lo, b_hi),), resolution)
-        return action(L, sol).value
-
-    # Displace each edge at its node parameters.
+            x, z = bd.end_point(side)
+            d = spec.displacement(np.concatenate([x, z]))
+            ends.append(x[0] + t * d[0])
+            ring[(0, -1)[side]] = z + t * d[1:]
+        if not ends[0] < ends[1]:
+            raise ChartExit(f"deformed interval degenerate: {ends}")
+        return L, ring, (tuple(ends),)
     axes = grid_axes(domain, resolution)
-    displaced = {}
-    boxlike = True
-    scale = max(abs(hi - lo) for lo, hi in domain)
+    ring = np.zeros((*resolution, L.codim))
+    curves = {}
     for edge in _EDGES:
-        x, z, d = bd.sample(spec, edge, axes[edge.run_axis])
-        base_new = x + t * d[:, :2]
-        z_new = z + t * d[:, 2:]
-        if np.any(np.diff(base_new[:, edge.run_axis]) <= 0.0):
-            raise ChartExit(f"deformed {edge.name} edge is not a graph over its axis")
-        transverse = base_new[:, edge.normal_axis]
-        if np.max(np.abs(transverse - transverse.mean())) > 1e-11 * scale:
-            boxlike = False
-        displaced[edge.name] = (z_new, float(transverse.mean()))
-    if boxlike:
-        return _box_action(L, bd, domain, resolution, spec, t, displaced)
-    return _pullback_action(L, bd, domain, resolution, spec, t, displaced)
+        curves[edge.name], ring[edge.ring_indexer(resolution)] = _displaced_edge(
+            bd, spec, edge, axes[edge.run_axis], t
+        )
+    return _coons_pullback(L, domain, curves), ring, domain
 
 
-def _box_action(L, bd, domain, resolution, spec, t, displaced):
-    """Re-solve on a translated/stretched box (edges moved rigidly).
+def _displaced_edge(bd, spec, edge, ticks, t):
+    """Nodes (k, 2) of a displaced edge curve and its ring values (k, n-p).
 
-    The displaced data is carried to the new edge nodes by inverting the
-    along-edge motion and transporting across the (at most O(t^2)) base
-    gap with the t=0 slopes.
+    Each node follows its boundary point, but a jump of the along-edge
+    motion at a corner (a slide) is spread linearly over the interior
+    nodes, whose data the t = 0 slopes carry along: a slid corner stretches
+    the whole edge instead of its last cell.
     """
-    levels = {name: lvl for name, (_, lvl) in displaced.items()}
-    new_domain = (
-        (levels["xmin"], levels["xmax"]),
-        (levels["ymin"], levels["ymax"]),
-    )
-    if not (new_domain[0][0] < new_domain[0][1] and new_domain[1][0] < new_domain[1][1]):
-        raise ChartExit(f"deformed box degenerate: {new_domain}")
-    new_axes = grid_axes(new_domain, resolution)
-    bvals = np.zeros((*resolution, L.codim))
-    counts = np.zeros(resolution)
-    for edge in _EDGES:
-        lo0, hi0 = domain[edge.run_axis]
-        targets = new_axes[edge.run_axis]
-        # Invert r + t*D_run(r) = target by clamped fixed-point iteration.
-        r = np.clip(targets, lo0, hi0)
-        for _ in range(4):
-            d_run = bd.sample(spec, edge, r)[2][:, edge.run_axis]
-            r = np.clip(targets - t * d_run, lo0, hi0)
-        x, z, d = bd.sample(spec, edge, r)
-        x_hat = np.empty_like(x)
-        x_hat[:, edge.run_axis] = targets
-        x_hat[:, edge.normal_axis] = levels[edge.name]
-        gap = x_hat - (x + t * d[:, :2])
-        ring = z + t * d[:, 2:] + np.einsum("kij,kj->ki", bd.slopes(edge, r), gap)
-        idx = edge.ring_indexer(resolution)
-        bvals[idx] += ring
-        counts[idx] += 1.0
-    mask = counts > 0
-    bvals[mask] /= counts[mask][:, None]
-    sol = solve_dirichlet(L, bvals, new_domain, resolution)
-    return action(L, sol).value
+    run = edge.run_axis
+    (x, z, d), jumps = _corner_jumps(bd, spec, edge, ticks)
+    nodes = x + t * d[:, :2]
+    u = np.linspace(0.0, 1.0, len(ticks))
+    shift = t * ((1.0 - u) * jumps[0, run] + u * jumps[1, run])
+    shift[[0, -1]] = 0.0
+    nodes[:, run] += shift
+    if np.any(np.diff(nodes[:, run]) <= 0.0):
+        raise ChartExit(f"deformed {edge.name} edge is not a graph over its axis")
+    return nodes, z + t * d[:, 2:] + bd.slopes(edge, ticks)[..., run] * shift[:, None]
 
 
-def _pullback_action(L, bd, domain, resolution, spec, t, displaced):
-    """Re-solve on the exact deformed region via a transfinite patch.
-
-    The displaced edge curves bound the deformed base region; a Coons
-    patch maps the original box onto it and the integrand is pulled back
-    through the map, so the unknowns live on the original grid while the
-    functional is the true deformed-domain action.
+def _corner_jumps(bd, spec, edge, r):
+    """The sample of ``edge`` at run-parameters r (from corner to corner)
+    and the displacement's jumps (2, n) at its corners: each corner's
+    displacement less the edge's one-sided limit, extrapolated linearly
+    from two points inside, O(_CORNER_OFFSET^2) for a smooth displacement.
     """
-    (a1, b1), (a2, b2) = domain
-    len1, len2 = b1 - a1, b2 - a2
-    centers = [0.5 * (ax[:-1] + ax[1:]) for ax in grid_axes(domain, resolution)]
+    lo, hi = bd.domain[edge.run_axis]
+    eps = _CORNER_OFFSET * (hi - lo)
+    inner = np.array([lo + eps, lo + 2.0 * eps, hi - eps, hi - 2.0 * eps])
+    x, z = bd.points(edge, np.concatenate([r, inner]))
+    d = _displacements(spec, x, z)
+    k = len(r)
+    limits = 2.0 * d[[k, k + 2]] - d[[k + 1, k + 3]]
+    return (x[:k], z[:k], d[:k]), d[[0, k - 1]] - limits
 
-    def moved(edge, r):
-        x, _, d = bd.sample(spec, edge, r)
-        return x + t * d[:, :2]
 
-    curve, tangent = {}, {}
-    for edge in _EDGES:
-        c = centers[edge.run_axis]
-        hd = 1e-6 * (domain[edge.run_axis][1] - domain[edge.run_axis][0])
-        curve[edge.name] = moved(edge, c)
-        tangent[edge.name] = (moved(edge, c + hd) - moved(edge, c - hd)) / (2.0 * hd)
-    # The corners: the ymin and ymax edges at both ends of the x range.
-    (c00, c10), (c01, c11) = (moved(edge, np.array(domain[0])) for edge in _EDGES[2:])
-    eb, et, el, er = (curve[k] for k in ("ymin", "ymax", "xmin", "xmax"))
-    dbu, dtu, dlv, drv = (tangent[k] for k in ("ymin", "ymax", "xmin", "xmax"))
-    # Trailing axis: the two base components.
-    u = ((centers[0] - a1) / len1)[:, None, None]
-    v = ((centers[1] - a2) / len2)[None, :, None]
-    eb, et, dbu, dtu = eb[:, None], et[:, None], dbu[:, None], dtu[:, None]
-    el, er, dlv, drv = el[None], er[None], dlv[None], drv[None]
-    blend = (1 - u) * (1 - v) * c00 + u * (1 - v) * c10 + (1 - u) * v * c01 + u * v * c11
-    phi = (1 - v) * eb + v * et + (1 - u) * el + u * er - blend
-    dblend_d1 = (-(1 - v) * c00 + (1 - v) * c10 - v * c01 + v * c11) / len1
-    dphi_d1 = (1 - v) * dbu + v * dtu + (-el + er) / len1 - dblend_d1
-    dblend_d2 = (-(1 - u) * c00 - u * c10 + (1 - u) * c01 + u * c11) / len2
-    dphi_d2 = (-eb + et) / len2 + (1 - u) * dlv + u * drv - dblend_d2
-    phi, dphi_d1, dphi_d2 = (np.moveaxis(a, -1, 0) for a in (phi, dphi_d1, dphi_d2))
-    jac_det = dphi_d1[0] * dphi_d2[1] - dphi_d1[1] * dphi_d2[0]
+@functools.lru_cache(maxsize=None)
+def _midpoint_weights(count):
+    """Rows giving the value and the u-derivative at each interval midpoint
+    of ``count`` unit-spaced ticks, from the local polynomial through the
+    eight nearest ticks (all of them when fewer; one-sided at the ends)."""
+    m = min(8, count)
+    value, slope = np.zeros((count - 1, count)), np.zeros((count - 1, count))
+    for i in range(count - 1):
+        start = min(max(i - (m - 2) // 2, 0), count - m)
+        basis = _lagrange_basis(np.arange(start, start + m) - (i + 0.5))
+        value[i, start : start + m], slope[i, start : start + m] = basis[:, 0], basis[:, 1]
+    return value, slope
+
+
+def _coons_pullback(L, domain, curves):
+    """L pulled back through the Coons patch of the four edge curves.
+
+    ``curves`` holds the node points of each displaced edge.  The patch is
+    built at the grid nodes and carried to the cell centres, with its
+    derivatives, by the local polynomials of :func:`_midpoint_weights`.
+    """
+    bottom, top, left, right = (curves[k] for k in ("ymin", "ymax", "xmin", "xmax"))
+    # Reference coordinates in [0, 1]; trailing axis: the base components.
+    u = np.linspace(0.0, 1.0, len(bottom))[:, None, None]
+    v = np.linspace(0.0, 1.0, len(left))[None, :, None]
+    corners = (1 - u) * (1 - v) * bottom[0] + u * (1 - v) * bottom[-1]
+    corners += (1 - u) * v * top[0] + u * v * top[-1]
+    phi = (1 - v) * bottom[:, None] + v * top[:, None] + (1 - u) * left + u * right - corners
+    (value1, slope1), (value2, slope2) = (_midpoint_weights(len(c)) for c in (bottom, left))
+    steps = [(hi - lo) / (len(c) - 1) for (lo, hi), c in zip(domain, (bottom, left))]
+    xphys = list(np.einsum("ai,bj,ijc->cab", value1, value2, phi, optimize=True))
+    d1 = np.einsum("ai,bj,ijc->cab", slope1, value2, phi, optimize=True) / steps[0]
+    d2 = np.einsum("ai,bj,ijc->cab", value1, slope2, phi, optimize=True) / steps[1]
+    jac_det = d1[0] * d2[1] - d1[1] * d2[0]
     if np.any(jac_det <= 0.0):
         raise ChartExit("deformed region folds over the base chart")
     # Inverse transpose columns give physical slopes from reference ones.
-    inv = np.empty((2, 2, *jac_det.shape))
-    inv[0, 0] = dphi_d2[1] / jac_det
-    inv[0, 1] = -dphi_d2[0] / jac_det
-    inv[1, 0] = -dphi_d1[1] / jac_det
-    inv[1, 1] = dphi_d1[0] / jac_det
+    inv = np.array([[d2[1], -d2[0]], [-d1[1], d1[0]]]) / jac_det
     cell_shape = jac_det.shape
-    xphys = [phi[0], phi[1]]
 
     def wrapped(x, z, q):
         if np.shape(x[0]) != cell_shape:
@@ -681,11 +683,6 @@ def _pullback_action(L, bd, domain, resolution, spec, t, displaced):
         ]
         return L.func(xphys, z, qphys) * jac_det
 
-    pulled = LagrangianField(
+    return LagrangianField(
         n=L.n, p=2, func=wrapped, name=f"pullback({L.name})", supports_dual=L.supports_dual
     )
-    bvals = np.zeros((*resolution, L.codim))
-    for edge in _EDGES:
-        bvals[edge.ring_indexer(resolution)] = displaced[edge.name][0]
-    sol = solve_dirichlet(pulled, bvals, domain, resolution)
-    return action(pulled, sol).value

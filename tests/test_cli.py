@@ -271,25 +271,28 @@ def test_verify_rejects_out_of_range_field_or_edge(runner, extra):
 
 
 def test_verify_in_range_field_and_edge_output_unchanged(runner):
-    # values as printed before out-of-range indices and sides were rejected
-    result = runner.invoke(
-        main,
-        ["verify", "--lagrangian", "area3", "--resolution", "9", "--boundary", "x1*x2",
-         "--field", "frame:1", "--field", "tangent:1", "--psi", "edge:xmax", "--format", "csv"],
-    )
+    # values as printed before out-of-range indices and sides were rejected;
+    # the frame:1 row tears the corners of the xmax edge, so its dA/dt
+    # depends on the re-fit's closure and only A0 and the formula are pinned
+    args = ["verify", "--lagrangian", "area3", "--resolution", "9", "--boundary", "x1*x2",
+            "--field", "frame:1", "--field", "tangent:1", "--psi", "edge:xmax"]
+    result = runner.invoke(main, args + ["--format", "csv"])
     assert result.exit_code == 0
     lines = result.output.strip().split("\n")
     assert len(lines) == 3
-    expected = [
-        ("frame:1", [1.2784249666233969, -0.10500575548962052, -0.1050057839243613,
-                     0.0023355614957509571], "non-normal"),
-        ("tangent:1", [1.2784249666233969, 1.5727650934550437, 1.5727650877290211,
-                       1.5727583635860223], "non-normal"),
-    ]
-    for line, (name, numbers, verdict) in zip(lines[1:], expected):
-        row = line.split(",")
-        assert row[0] == name and row[-1] == verdict
-        assert [float(v) for v in row[1:-1]] == pytest.approx(numbers, rel=1e-9, abs=1e-12)
+    frame = lines[1].split(",")
+    assert frame[0] == "frame:1" and frame[-1] == "inconclusive"
+    assert [float(frame[1]), float(frame[4])] == pytest.approx(
+        [1.2784249666233969, 0.0023355614957509571], rel=1e-9, abs=1e-12
+    )
+    tangent = lines[2].split(",")
+    assert tangent[0] == "tangent:1" and tangent[-1] == "non-normal"
+    assert [float(v) for v in tangent[1:-1]] == pytest.approx(
+        [1.2784249666233969, 1.5727650934550437, 1.5727650877290211, 1.5727583635860223],
+        rel=1e-9, abs=1e-12,
+    )
+    text = runner.invoke(main, args).output.strip().split("\n")
+    assert text[3] == "frame:1: inconclusive (corner-tear)"
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

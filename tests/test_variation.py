@@ -37,15 +37,77 @@ def test_flat_frame_deformation_normal(flat_base):
     assert abs(rep.boundary_formula_value) <= 1e-10
 
 
-def test_flat_edge_slide_grows_area():
-    spec = va.DeformationSpec(
-        direction=lambda m: np.array([1.0, 0.0, 0.0]),
-        intensity=va.edge_indicator(DOM, "xmax"),
-    )
+@pytest.mark.parametrize(
+    "direction, side, rate",
+    [
+        ((1.0, 0.0, 0.0), "xmax", 1.0),
+        ((-1.0, 0.0, 0.0), "xmin", 1.0),
+        ((0.0, 1.0, 0.0), "ymax", 1.0),
+        ((0.0, -1.0, 0.0), "ymin", 1.0),
+        (None, None, 2.0),
+    ],
+    ids=["xmax", "xmin", "ymax", "ymin", "dilation"],
+)
+def test_flat_edge_slide_grows_area(direction, side, rate):
+    # one side slid along its outward normal drags its corners along the
+    # neighbouring sides; a dilation about the centre moves every side
+    if side is None:
+        spec = va.DeformationSpec(direction=lambda m: np.asarray(m) - np.array([0.5, 0.5, 0.0]))
+    else:
+        spec = va.DeformationSpec(
+            direction=lambda m: np.array(direction),
+            intensity=va.edge_indicator(DOM, side),
+        )
     rep = va.first_variation_fd(L3, flat, DOM, 33, spec)
-    assert rep.dA_dt == pytest.approx(1.0, abs=1e-3)
-    assert rep.boundary_formula_value == pytest.approx(1.0, abs=1e-10)
+    assert rep.dA_dt == pytest.approx(rate, abs=1e-3)
+    assert rep.boundary_formula_value == pytest.approx(rate, abs=1e-10)
     assert rep.classification == "non-normal"
+    assert "reason" not in rep.diagnostics
+
+
+@pytest.mark.parametrize("res", [9, 17])
+def test_torn_corner_reads_inconclusive(res):
+    # the frame on x1*x2 has a base component normal to the ymin and ymax
+    # edges at the corners of xmax, so edge:xmax tears those corners off
+    def bc(x):
+        return np.array([x[0] * x[1]])
+
+    base = solve_dirichlet(L3, bc, DOM, res)
+    field = va.frame_field(L3, va.graph_slopes_fn(base))
+    spec = va.DeformationSpec(direction=field, intensity=va.edge_indicator(DOM, "xmax"))
+    (row,) = va.normality_scan(L3, base, [("frame:1", spec)], boundary_data=bc)
+    rep = row.report
+    assert rep.classification == "inconclusive"
+    assert rep.diagnostics["reason"] == "corner-tear"
+    assert np.isfinite(rep.dA_dt) and np.isfinite(rep.boundary_formula_value)
+    assert "field_order" not in rep.diagnostics
+    # a smooth intensity on the same field tears nothing
+    psi = va.random_intensity(np.random.default_rng(0), 3)
+    assert not va._corner_tear(va._BoundaryData(base, bc), va.DeformationSpec(direction=field, intensity=psi))
+
+
+def test_formula_pairs_one_momenta_pass_with_several_fields():
+    # the momenta of a curved graph, taken once, give each field's value
+    # exactly as a call per field does
+    base = solve_dirichlet(L3, lambda x: x[0] * x[1], DOM, 9)
+    psi = va.random_intensity(np.random.default_rng(1), 3)
+    fields = [
+        va.DeformationSpec(direction=va.frame_field(L3, va.graph_slopes_fn(base)), intensity=psi),
+        va.DeformationSpec(direction=lambda m: np.array([0.3, -0.2, 1.0]), intensity=psi),
+    ]
+    both = va.first_variation_boundary(L3, base, fields)
+    assert both == [va.first_variation_boundary(L3, base, s) for s in fields]
+    assert both[0] != both[1]
+
+
+def test_deformed_problem_is_the_box_at_t_zero(flat_base):
+    # at t = 0 the pulled-back Lagrangian has the original integrand and the
+    # ring is the base's; the re-solve gives the base action
+    bd = va._BoundaryData(flat_base, flat)
+    spec = va.DeformationSpec(direction=lambda m: np.array([0.0, 0.0, 1.0]))
+    L_t, ring, domain_t = va._deformed_problem(L3, bd, DOM, (9, 9), spec, 0.0)
+    assert domain_t == DOM and ring.shape == (9, 9, 1) and not np.any(ring)
+    assert va._deformed_action(L3, bd, DOM, (9, 9), spec, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_linearity_in_intensity():
