@@ -22,7 +22,7 @@ from cartanarea import (
 )
 from cartanarea.extremal import grid_axes, make_graph, observed_orders
 from cartanarea.variation import frame_field, random_intensity
-from cartanarea.variation import _BoundaryData, _deformed_action
+from cartanarea.variation import _BoundaryData, _deformed_action, _edge_samples
 
 DOMAIN = ((-0.5, 0.5), (-0.5, 0.5))
 L = area_hypersurface(3)
@@ -55,10 +55,10 @@ def main(resolutions):
         errors.append(float(np.max(np.abs(sol.values[..., 0] - exact)[1:-1, 1:-1])))
         # single-grid central difference of the deformed actions: its bias
         # is the discretization floor the oracle extrapolates away
-        bd = _BoundaryData(sol, scherk)
+        samples = _edge_samples(_BoundaryData(sol, scherk), spec, (r, r))
         h = 2.5e-4 * np.sqrt(2.0)
-        a_plus = _deformed_action(L, bd, DOMAIN, (r, r), spec, h)
-        a_minus = _deformed_action(L, bd, DOMAIN, (r, r), spec, -h)
+        a_plus = _deformed_action(L, samples, DOMAIN, (r, r), h)
+        a_minus = _deformed_action(L, samples, DOMAIN, (r, r), -h)
         floors.append(abs((a_plus - a_minus) / (2.0 * h)))
         print(
             f"r={r:4d}  residual {residuals[-1]:.3e}   solve error {errors[-1]:.3e}"

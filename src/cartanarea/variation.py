@@ -23,7 +23,9 @@ re-fit, the corner-tear check, the boundary formula and the graph-slope
 lookup of the fields.  It holds the Dirichlet data (the user's callable,
 else the ring values) and the ring slopes, interpolates them along each
 edge by local cubics that are exact at the nodes, and turns
-run-parameters on an edge into base points and fiber values.
+run-parameters on an edge into base points and fiber values.  The re-fit
+and the tear check read one sample of the boundary motion per report and
+grid (:func:`_edge_samples`).
 
 A frame, tangent or Euclidean-normal field built from the solved graph's
 own slopes carries their O(h^2) error, so a field that is normal in the
@@ -64,9 +66,10 @@ MAX_HALVINGS = 4
 # A field built from a graph's own slopes reads normal in the limit when
 # its formula value falls at least at this order under grid halving.
 FIELD_ORDER_MIN = 1.5
-# An edge's one-sided limit at a corner is taken from points this fraction
-# of the edge inside; a corner is torn when its displacement leaves that
-# limit, normal to the edge, by more than _TEAR_TOL of its size.
+# An edge's one-sided limit at a corner is taken from points one to three
+# times this fraction of the edge inside; a corner is torn when its
+# displacement leaves that limit, normal to the edge, by more than
+# _TEAR_TOL of the largest boundary velocity.
 _CORNER_OFFSET = 1e-5
 _TEAR_TOL = 1e-7
 
@@ -134,7 +137,8 @@ def first_variation_boundary(
     the momentum flux sum_i (dL/dq^i_j) df^i/dt + L X^j paired with the
     outward base normal.  Fourth-order slope stencils and Simpson
     integration keep the formula's bias below the re-solve oracle's.
-    ``spec`` may also be a sequence of specs: the momenta at the nodes do
+    ``spec`` may also be a sequence of specs, as the field-order test of
+    :func:`_extrapolated_formula` passes it: the momenta at the nodes do
     not depend on the field, so they are computed once and paired with
     each, and a list of values comes back.
     Raises :class:`NotCritical` off shell, where the formula is invalid.
@@ -214,11 +218,7 @@ def frame_field(L, slopes_fn: Callable, weights=None) -> Callable:
 
     ``weights`` mixes the n-p frame vectors (default: the first one).
     """
-    m = L.codim
-    w = np.zeros(m)
-    w[0] = 1.0
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
+    w = np.eye(L.codim)[0] if weights is None else np.asarray(weights, dtype=float)
 
     def field_fn(point):
         point = np.asarray(point, dtype=float)
@@ -329,7 +329,6 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     A0 = action(L, base).value
     domain, resolution = base.domain, base.resolution
     bd = _BoundaryData(base, boundary_data)
-    torn = base.p == 2 and _corner_tear(bd, spec)
 
     def coarse_data(stride):
         # The user's callable, else the base nodes the coarser grid keeps.
@@ -339,6 +338,8 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
 
     coarse_res = tuple((r + 1) // 2 for r in resolution)
     use_pair = all(r >= 5 and (rf - 1) == 2 * (r - 1) for r, rf in zip(coarse_res, resolution))
+    samples = {res: _edge_samples(bd, spec, res) for res in (resolution, coarse_res)[: 1 + use_pair]}
+    torn = base.p == 2 and _corner_tear(samples[resolution])
     diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in domain))
     h = spec.step if spec.step is not None else DEFAULT_STEP_FACTOR * diam
     halvings = 0
@@ -348,10 +349,10 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
         try:
             actions = {}
             for t in (-2.0 * h, -h, h, 2.0 * h):
-                fine = _deformed_action(L, bd, domain, resolution, spec, t)
+                fine = _deformed_action(L, samples[resolution], domain, resolution, t)
                 solves += 1
                 if use_pair:
-                    coarse = _deformed_action(L, bd, domain, coarse_res, spec, t)
+                    coarse = _deformed_action(L, samples[coarse_res], domain, coarse_res, t)
                     solves += 1
                     actions[t] = ((4.0 * fine - coarse) / 3.0, fine, coarse)
                 else:
@@ -446,17 +447,6 @@ def _coarse_rebuild(spec, bases):
     if len(bases) < 2 or not isinstance(slopes, _BoundaryData) or slopes.resolution != bases[0].resolution:
         return None
     return replace(spec, direction=field_fn.rebuild(graph_slopes_fn(bases[1])))
-
-
-def _corner_tear(bd, spec) -> bool:
-    """Whether a corner's jump against an edge (:func:`_corner_jumps`) has
-    a part normal to the edge, above ``_TEAR_TOL`` of the displacements."""
-    torn, size = 0.0, 0.0
-    for edge in _EDGES:
-        (_, _, d), jumps = _corner_jumps(bd, spec, edge, np.array(bd.domain[edge.run_axis]))
-        size = max(size, np.max(np.abs(d[:, : bd.p])))
-        torn = max(torn, np.max(np.abs(jumps[:, edge.normal_axis])))
-    return torn > _TEAR_TOL * size
 
 
 def _simpson(vals, h):
@@ -567,71 +557,81 @@ def _displacements(spec, x, z):
     return np.array([spec.displacement(np.concatenate([xk, zk])) for xk, zk in zip(x, z)])
 
 
-def _deformed_action(L, bd: _BoundaryData, domain, resolution, spec, t) -> float:
-    L_t, ring, domain_t = _deformed_problem(L, bd, domain, resolution, spec, t)
+def _edge_samples(bd: _BoundaryData, spec, resolution):
+    """The boundary motion, sampled once per report and resolution.
+
+    Per end (p = 1) or edge (p = 2): base points and fiber values at the
+    grid ticks, their velocities in t, and (p = 2) the displacement's jumps
+    (2, n) at the corners against the edge's one-sided limit, extrapolated
+    quadratically from three points inside (O(_CORNER_OFFSET^3) if smooth).
+    A node follows its boundary point, but an along-edge jump (a slide) is
+    spread linearly over the interior nodes, whose data the t = 0 slopes
+    carry along: a slid corner stretches the whole edge.
+    """
+    if bd.p == 1:
+        ends = [bd.end_point(side) for side in (0, 1)]
+        return [(x, z, *np.split(spec.displacement(np.concatenate([x, z])), [1])) for x, z in ends]
+    axes = grid_axes(bd.domain, resolution)
+    samples = {}
+    for edge in _EDGES:
+        run = edge.run_axis
+        r, k, (lo, hi) = axes[run], len(axes[run]), bd.domain[run]
+        eps = _CORNER_OFFSET * (hi - lo) * np.arange(1.0, 4.0)
+        x, z = bd.points(edge, np.concatenate([r, lo + eps, hi - eps]))
+        d = _displacements(spec, x, z)
+        limits = 3.0 * d[[k, k + 3]] - 3.0 * d[[k + 1, k + 4]] + d[[k + 2, k + 5]]
+        jumps = d[[0, k - 1]] - limits
+        u = np.linspace(0.0, 1.0, k)
+        shift = (1.0 - u) * jumps[0, run] + u * jumps[1, run]
+        shift[[0, -1]] = 0.0
+        vx = d[:k, :2].copy()
+        vx[:, run] += shift
+        vz = d[:k, 2:] + bd.slopes(edge, r)[..., run] * shift[:, None]
+        samples[edge.name] = (x[:k], z[:k], vx, vz, jumps)
+    return samples
+
+
+def _corner_tear(samples) -> bool:
+    """Whether a corner's jump against an edge (:func:`_edge_samples`) has
+    a part normal to the edge above ``_TEAR_TOL`` of the largest boundary
+    velocity sampled on the four edges."""
+    torn, size = 0.0, 0.0
+    for edge in _EDGES:
+        _, _, vx, vz, jumps = samples[edge.name]
+        size = max(size, np.max(np.abs(vx)), np.max(np.abs(vz)))
+        torn = max(torn, np.max(np.abs(jumps[:, edge.normal_axis])))
+    return torn > _TEAR_TOL * size
+
+
+def _deformed_action(L, samples, domain, resolution, t) -> float:
+    L_t, ring, domain_t = _deformed_problem(L, samples, domain, resolution, t)
     return action(L_t, solve_dirichlet(L_t, ring, domain_t, resolution)).value
 
 
-def _deformed_problem(L, bd: _BoundaryData, domain, resolution, spec, t):
+def _deformed_problem(L, samples, domain, resolution, t):
     """``(L_t, ring, domain_t)`` for :func:`solve_dirichlet` on the
-    boundary displaced to offset t.  For p = 1 the endpoints move and the
-    interval is re-gridded.  For p = 2, L is pulled back through the Coons
-    patch of the displaced edge curves (:func:`_displaced_edge`).
+    boundary moved to offset t along ``samples`` (:func:`_edge_samples`).
+    For p = 1 the endpoints move and the interval is re-gridded.  For
+    p = 2, L is pulled back through the Coons patch of the displaced edge
+    curves.
     """
+    ring = np.zeros((*resolution, L.codim))
     if L.p == 1:
-        ring, ends = np.zeros((resolution[0], L.codim)), []
-        for side in (0, 1):
-            x, z = bd.end_point(side)
-            d = spec.displacement(np.concatenate([x, z]))
-            ends.append(x[0] + t * d[0])
-            ring[(0, -1)[side]] = z + t * d[1:]
+        ends = []
+        for side, (x, z, vx, vz) in enumerate(samples):
+            ends.append(x[0] + t * vx[0])
+            ring[(0, -1)[side]] = z + t * vz
         if not ends[0] < ends[1]:
             raise ChartExit(f"deformed interval degenerate: {ends}")
         return L, ring, (tuple(ends),)
-    axes = grid_axes(domain, resolution)
-    ring = np.zeros((*resolution, L.codim))
     curves = {}
     for edge in _EDGES:
-        curves[edge.name], ring[edge.ring_indexer(resolution)] = _displaced_edge(
-            bd, spec, edge, axes[edge.run_axis], t
-        )
+        x, z, vx, vz, _ = samples[edge.name]
+        curves[edge.name] = x + t * vx
+        if np.any(np.diff(curves[edge.name][:, edge.run_axis]) <= 0.0):
+            raise ChartExit(f"deformed {edge.name} edge is not a graph over its axis")
+        ring[edge.ring_indexer(resolution)] = z + t * vz
     return _coons_pullback(L, domain, curves), ring, domain
-
-
-def _displaced_edge(bd, spec, edge, ticks, t):
-    """Nodes (k, 2) of a displaced edge curve and its ring values (k, n-p).
-
-    Each node follows its boundary point, but a jump of the along-edge
-    motion at a corner (a slide) is spread linearly over the interior
-    nodes, whose data the t = 0 slopes carry along: a slid corner stretches
-    the whole edge instead of its last cell.
-    """
-    run = edge.run_axis
-    (x, z, d), jumps = _corner_jumps(bd, spec, edge, ticks)
-    nodes = x + t * d[:, :2]
-    u = np.linspace(0.0, 1.0, len(ticks))
-    shift = t * ((1.0 - u) * jumps[0, run] + u * jumps[1, run])
-    shift[[0, -1]] = 0.0
-    nodes[:, run] += shift
-    if np.any(np.diff(nodes[:, run]) <= 0.0):
-        raise ChartExit(f"deformed {edge.name} edge is not a graph over its axis")
-    return nodes, z + t * d[:, 2:] + bd.slopes(edge, ticks)[..., run] * shift[:, None]
-
-
-def _corner_jumps(bd, spec, edge, r):
-    """The sample of ``edge`` at run-parameters r (from corner to corner)
-    and the displacement's jumps (2, n) at its corners: each corner's
-    displacement less the edge's one-sided limit, extrapolated linearly
-    from two points inside, O(_CORNER_OFFSET^2) for a smooth displacement.
-    """
-    lo, hi = bd.domain[edge.run_axis]
-    eps = _CORNER_OFFSET * (hi - lo)
-    inner = np.array([lo + eps, lo + 2.0 * eps, hi - eps, hi - 2.0 * eps])
-    x, z = bd.points(edge, np.concatenate([r, inner]))
-    d = _displacements(spec, x, z)
-    k = len(r)
-    limits = 2.0 * d[[k, k + 2]] - d[[k + 1, k + 3]]
-    return (x[:k], z[:k], d[:k]), d[[0, k - 1]] - limits
 
 
 @functools.lru_cache(maxsize=None)

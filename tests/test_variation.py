@@ -81,9 +81,17 @@ def test_torn_corner_reads_inconclusive(res):
     assert rep.diagnostics["reason"] == "corner-tear"
     assert np.isfinite(rep.dA_dt) and np.isfinite(rep.boundary_formula_value)
     assert "field_order" not in rep.diagnostics
-    # a smooth intensity on the same field tears nothing
-    psi = va.random_intensity(np.random.default_rng(0), 3)
-    assert not va._corner_tear(va._BoundaryData(base, bc), va.DeformationSpec(direction=field, intensity=psi))
+    # smooth intensities on the same field tear nothing, also those that
+    # vanish at every corner or oscillate fast along the edges
+    bd = va._BoundaryData(base, bc)
+    for psi in (
+        va.random_intensity(np.random.default_rng(0), 3),
+        lambda m: m[0] * (1.0 - m[0]),
+        lambda m: np.sin(np.pi * m[1]) ** 2,
+        lambda m: np.sin(20.0 * np.pi * m[0] + 1.0),
+    ):
+        spec = va.DeformationSpec(direction=field, intensity=psi)
+        assert not va._corner_tear(va._edge_samples(bd, spec, base.resolution))
 
 
 def test_formula_pairs_one_momenta_pass_with_several_fields():
@@ -103,11 +111,11 @@ def test_formula_pairs_one_momenta_pass_with_several_fields():
 def test_deformed_problem_is_the_box_at_t_zero(flat_base):
     # at t = 0 the pulled-back Lagrangian has the original integrand and the
     # ring is the base's; the re-solve gives the base action
-    bd = va._BoundaryData(flat_base, flat)
     spec = va.DeformationSpec(direction=lambda m: np.array([0.0, 0.0, 1.0]))
-    L_t, ring, domain_t = va._deformed_problem(L3, bd, DOM, (9, 9), spec, 0.0)
+    samples = va._edge_samples(va._BoundaryData(flat_base, flat), spec, (9, 9))
+    L_t, ring, domain_t = va._deformed_problem(L3, samples, DOM, (9, 9), 0.0)
     assert domain_t == DOM and ring.shape == (9, 9, 1) and not np.any(ring)
-    assert va._deformed_action(L3, bd, DOM, (9, 9), spec, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert va._deformed_action(L3, samples, DOM, (9, 9), 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_linearity_in_intensity():
