@@ -96,8 +96,8 @@ def _parse_domain(text, p):
         raise click.UsageError(f"cannot parse domain {text!r}")
     if len(domain) != p or any(len(ax) != 2 for ax in domain):
         raise click.UsageError(f"domain needs {p} 'lo,hi' segments separated by ';'")
-    if any(not lo < hi for lo, hi in domain):
-        raise click.UsageError(f"domain {text!r}: each segment needs lo < hi")
+    if not np.all(np.isfinite(domain)) or any(not lo < hi for lo, hi in domain):
+        raise click.UsageError(f"domain {text!r}: each segment needs finite lo < hi")
     return domain
 
 
@@ -286,12 +286,14 @@ def _build_psi(text, L, dom, seed):
     if text.startswith("edge:"):
         return va.edge_indicator(dom, text.split(":")[1])
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    names = [f"x{i + 1}" for i in range(L.n)]
-    fn = compile_expression(text, names)
-    return lambda m: fn(list(m))
+        names = [f"x{i + 1}" for i in range(L.n)]
+        fn = compile_expression(text, names)
+        return lambda m: fn(list(m))
+    if not np.isfinite(value):
+        raise click.UsageError(f"--psi {text!r}: a constant intensity must be finite")
+    return value
 
 
 @main.command()
@@ -327,11 +329,10 @@ def verify(lagrangian, dims, graph_path, domain, resolution, boundary, fields, p
             try:
                 direction = _build_field(kind, L, graph)
                 intensity = _build_psi(psi, L, dom, seed)
-            except ValueError as exc:  # ExpressionError, or a bad edge side
+                spec = va.DeformationSpec(direction=direction, intensity=intensity, step=step, name=kind)
+            except ValueError as exc:  # ExpressionError, a bad edge side, or a bad t-step
                 raise click.UsageError(str(exc))
-            candidates.append(
-                (kind, va.DeformationSpec(direction=direction, intensity=intensity, step=step, name=kind))
-            )
+            candidates.append((kind, spec))
         rows = va.normality_scan(L, graph, candidates, boundary_data=boundary_fn)
     except CartanAreaError as exc:
         _fail(exc)

@@ -20,14 +20,12 @@ form: the sparsity pattern and the slot of every per-cell entry are
 built once per ``(resolution, codim)`` and cached, so an iteration costs
 the dual evaluations, one einsum and one ``np.bincount``.  The symmetric
 system is factored by ``spla.splu`` with minimum-degree ordering on
-A^T + A (``permc_spec="MMD_AT_PLUS_A"``).  On large grids (65 or more
-nodes per axis) the factor is kept across iterations, a chord step,
-until a step is damped or cuts the residual max-norm by less than 4x;
-then the Hessian is refactored.  Such a grid also starts, when it
-halves cleanly, from the tensor-product cubic prolongation of the
-solve on the halved grid (nested iteration), instead of the harmonic
-smoother.  Smaller grids, the first-variation oracle's, refactor at every
-iteration, so their solves do not depend on the reuse policy.
+A^T + A (``permc_spec="MMD_AT_PLUS_A"``).  On every grid the factor is
+kept across iterations, a chord step, until a step is damped or cuts the
+residual max-norm by less than 4x; then the Hessian is refactored.  A
+grid of 65 or more nodes per axis that halves cleanly starts from the
+tensor-product cubic prolongation of the solve on the halved grid
+(nested iteration), instead of the harmonic smoother.
 
 ``solve_dirichlet`` reports in ``GridGraph.info`` the iterations, the
 back-substitutions (``linear_solves``, the harmonic smoother's included)
@@ -53,11 +51,9 @@ from .dual import Dual, value as _value
 from .errors import NoConvergence, NonFinite, SingularJacobian
 
 _LINESEARCH_DECREASE = 1e-4
-# Grids with at least this many nodes per axis keep the Hessian factor
-# across Newton iterations and, when they halve cleanly, start from the
-# coarse solve.  The first-variation oracle's grids (at most 33 per axis)
-# stay below it: the base solve's round-off feeds the graph-slope fields,
-# and a fresh factor every iteration keeps those solves reproducible.
+# Grids of at least this many nodes per axis start from the halved grid's solve.
+# The first-variation oracle's grids (at most 33) stay below: its pullback
+# Lagrangian exists only on its own grid's cells, and it solves its halved grids.
 _LARGE_GRID_NODES = 65
 
 
@@ -194,13 +190,13 @@ def solve_dirichlet(
     """Damped Newton solve of the discrete Euler-Lagrange system.
 
     ``boundary_data`` is a callable x -> f (evaluated on boundary nodes)
-    or a full-shape array whose ring is used.  Converged when the
-    residual max-norm drops below ``tolerance_factor * (1 + |action|)``.
-    Falls back to gradient descent when the Newton system is singular or
-    stalls, then retries Newton; raises :class:`NoConvergence` after
-    ``max_iterations`` total iterations.  Without ``init``, a
-    non-quadratic ``L`` on a grid of 65 or more nodes per axis that halves
-    cleanly starts from the solve on the halved grid.
+    or a full-shape array whose ring is used.  Converged when the residual
+    max-norm drops below ``tolerance_factor * (1 + |action|)``; the
+    Hessian factor is kept while full steps cut that norm 4x.  Falls back
+    to gradient descent when the Newton system is singular or stalls, then
+    retries Newton; raises :class:`NoConvergence` after ``max_iterations``
+    iterations.  Without ``init``, a non-quadratic ``L`` on 65 or more
+    nodes per axis starts from the solve on its halved grid, if any.
     """
     if not L.supports_dual:
         raise ValueError(
@@ -555,7 +551,6 @@ def _newton(L, values, domain, resolution, max_iterations, tolerance_factor, cou
     descent_rounds = 0
     carried = None  # (gradient, action) of ``values`` from an accepted line search
     factor = None  # SuperLU of the interior Hessian at an earlier iterate
-    keep_factor = min(resolution) >= _LARGE_GRID_NODES
     it = 0
     while it < max_iterations:
         it += 1
@@ -585,7 +580,7 @@ def _newton(L, values, domain, resolution, max_iterations, tolerance_factor, cou
             factor = None  # the kept factor failed here: refactor at these values
         if found is not None:
             values, carried, alpha, tnorm = found
-            if not keep_factor or alpha < 1.0 or tnorm > _REUSE_CONTRACTION * gnorm:
+            if alpha < 1.0 or tnorm > _REUSE_CONTRACTION * gnorm:
                 factor = None
             continue
         # Singular or stalled Newton system: descend on the action.
@@ -693,11 +688,15 @@ def _descent(cells, values, interior, steps):
 # Initialization and input handling
 
 
+def halved_resolution(resolution):
+    """The grid of every other node, or None unless each axis is odd and keeps >= 5."""
+    halved = tuple((r + 1) // 2 for r in resolution)
+    return halved if all(r % 2 == 1 for r in resolution) and min(halved) >= 5 else None
+
+
 def _coarse_resolution(resolution):
     """The halved grid a solve starts from, or None when there is none."""
-    if all(r % 2 == 1 and r >= _LARGE_GRID_NODES for r in resolution):
-        return tuple((r + 1) // 2 for r in resolution)
-    return None
+    return halved_resolution(resolution) if min(resolution) >= _LARGE_GRID_NODES else None
 
 
 def _normalize_resolution(resolution, p):

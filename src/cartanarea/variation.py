@@ -50,6 +50,7 @@ from .extremal import (
     action,
     el_residual,
     grid_axes,
+    halved_resolution,
     node_slopes,
     solve_dirichlet,
 )
@@ -81,14 +82,18 @@ class DeformationSpec:
     ``direction`` maps a boundary point of the graph (a vector in R^n)
     to a vector in R^n; ``intensity`` is a scalar function of the same
     point (or a constant).  ``step`` is the finite-difference stencil
-    half-width in t; None picks DEFAULT_STEP_FACTOR times the domain
-    diameter.
+    half-width in t, finite and positive; None picks DEFAULT_STEP_FACTOR
+    times the domain diameter.
     """
 
     direction: Callable
     intensity: Callable | float = 1.0
     step: float | None = None
     name: str = ""
+
+    def __post_init__(self):
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"the t-step must be finite and positive, got {self.step}")
 
     def psi(self, point) -> float:
         if callable(self.intensity):
@@ -336,9 +341,8 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
             return bd.dirichlet
         return base.values[(slice(None, None, stride),) * base.p]
 
-    coarse_res = tuple((r + 1) // 2 for r in resolution)
-    use_pair = all(r >= 5 and (rf - 1) == 2 * (r - 1) for r, rf in zip(coarse_res, resolution))
-    samples = {res: _edge_samples(bd, spec, res) for res in (resolution, coarse_res)[: 1 + use_pair]}
+    coarse_res = halved_resolution(resolution)
+    samples = {res: _edge_samples(bd, spec, res) for res in (resolution, coarse_res) if res}
     torn = base.p == 2 and _corner_tear(samples[resolution])
     diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in domain))
     h = spec.step if spec.step is not None else DEFAULT_STEP_FACTOR * diam
@@ -351,7 +355,7 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
             for t in (-2.0 * h, -h, h, 2.0 * h):
                 fine = _deformed_action(L, samples[resolution], domain, resolution, t)
                 solves += 1
-                if use_pair:
+                if coarse_res:
                     coarse = _deformed_action(L, samples[coarse_res], domain, coarse_res, t)
                     solves += 1
                     actions[t] = ((4.0 * fine - coarse) / 3.0, fine, coarse)
@@ -377,10 +381,10 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     # corner pollution) needs two extrapolation levels to come out below
     # the oracle's noise.
     bases = [base]
-    if use_pair:
+    if coarse_res:
         bases.append(solve_dirichlet(L, coarse_data(2), domain, coarse_res))
-        coarse2 = tuple((r + 1) // 2 for r in coarse_res)
-        if all(r >= 5 and (rf - 1) == 2 * (r - 1) for r, rf in zip(coarse2, coarse_res)):
+        coarse2 = halved_resolution(coarse_res)
+        if coarse2:
             bases.append(solve_dirichlet(L, coarse_data(4), domain, coarse2))
     solves += len(bases) - 1
     tol = TOL_ABS + TOL_REL * abs(A0)
@@ -394,7 +398,7 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     diagnostics = {
         "step": h,
         "halvings": halvings,
-        "grid_pair": (resolution, coarse_res if use_pair else None),
+        "grid_pair": (resolution, coarse_res),
         "actions": {float(t): tuple(map(float, a)) for t, a in sorted(actions.items())},
         "solves": solves,
     }

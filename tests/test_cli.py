@@ -305,13 +305,32 @@ def test_too_small_resolution_is_a_usage_error(runner, command):
     assert "at least 5 nodes" in result.output
 
 
-@pytest.mark.parametrize("domain", ["0,0;0,1", "1,0;0,1", "0,1;2,2"])
+@pytest.mark.parametrize("domain", ["0,0;0,1", "1,0;0,1", "0,1;2,2", "0,inf;0,1"])
 def test_degenerate_domain_is_a_usage_error(runner, domain):
     args = ["solve", "--lagrangian", "area3", "--resolution", "5", "--boundary", "0",
             "--domain", domain]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "lo < hi" in result.output
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--step", "0", "t-step"),
+        ("--step", "nan", "t-step"),
+        ("--step", "inf", "t-step"),
+        ("--step", "-1e-3", "t-step"),
+        ("--psi", "nan", "intensity must be finite"),
+        ("--psi", "inf", "intensity must be finite"),
+    ],
+)
+def test_bad_step_or_constant_psi_is_a_usage_error(runner, option, value, message):
+    args = ["verify", "--lagrangian", "area3", "--resolution", "5", "--boundary", "x1*x2",
+            "--field", "frame", option, value]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
 
 
 def test_verify_prints_the_field_order(runner):

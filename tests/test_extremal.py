@@ -339,6 +339,10 @@ def test_coarse_start_needs_a_clean_halving():
     assert extremal._coarse_resolution((33, 33)) is None
     assert extremal._coarse_resolution((64, 65)) is None
     assert extremal._coarse_resolution((65, 33)) is None
+    # the oracle's levels halve by the same rule, down to 5 nodes per axis
+    assert extremal.halved_resolution((9, 33)) == (5, 17)
+    assert extremal.halved_resolution((7, 33)) is None
+    assert extremal.halved_resolution((33, 32)) is None
     # a given init or a quadratic Lagrangian keeps its own start
     L = lag.area_hypersurface(3)
     given = solve_dirichlet(L, scherk, SCHERK_DOM, 65, init=np.zeros((65, 65, 1)))
@@ -357,6 +361,20 @@ def test_poor_init_forces_refactorization():
     assert sol.info["factorizations"] > 1
     assert sol.info["factorizations"] <= sol.info["linear_solves"]
     assert np.max(np.abs(el_residual(L, sol))) <= 1e-10 * (1.0 + sol.info["action"])
+
+
+def test_oracle_grid_keeps_the_factor(monkeypatch):
+    # a 33-node grid runs the same chord policy as a large one: from the
+    # smoother's start, full steps that contract 4x reuse the factor
+    L = lag.area_hypersurface(3)
+    kept = solve_dirichlet(L, scherk, SCHERK_DOM, 33)
+    assert kept.info["coarse_start"] is None
+    assert kept.info["factorizations"] < kept.info["linear_solves"]
+    # refactoring at every iteration lands on the same discrete minimum
+    monkeypatch.setattr(extremal, "_REUSE_CONTRACTION", 0.0)
+    fresh = solve_dirichlet(L, scherk, SCHERK_DOM, 33)
+    assert fresh.info["factorizations"] == fresh.info["linear_solves"]
+    assert np.max(np.abs(kept.values - fresh.values)) <= 1e-11
 
 
 def test_cubic_prolongation_reproduces_a_bicubic():

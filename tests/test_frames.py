@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cartanarea import lagrangian as lag
 from cartanarea.errors import DegenerateFrameWarning, DomainError, NotPositiveDefinite
 from cartanarea.frames import (
+    boundary_flux,
     boundary_residual_of_field,
     cartan_frame,
     normal_from_homogenized,
@@ -167,6 +171,61 @@ def test_variational_frame_rows_orthonormal():
             v = variational_frame(L, e).vectors
             assert v.shape == (L.codim, L.n)
             assert np.allclose(v @ v.T, np.eye(L.codim), atol=1e-14)
+
+
+def _floats(bound):
+    return st.floats(-bound, bound, allow_nan=False, width=32)
+
+
+@st.composite
+def flux_inputs(draw):
+    """Momenta, L, slopes and two vectors of one random shape (n, p)."""
+    n = draw(st.integers(2, 5))
+    p = draw(st.integers(1, n - 1))
+    momenta = draw(hnp.arrays(float, (n - p, p), elements=_floats(10)))
+    value = draw(_floats(10))
+    q = draw(hnp.arrays(float, (n - p, p), elements=_floats(10)))
+    X, Y = (draw(hnp.arrays(float, n, elements=_floats(10))) for _ in range(2))
+    return momenta, value, q, X, Y
+
+
+@settings(max_examples=100, deadline=None)
+@given(flux_inputs(), _floats(5), _floats(5))
+def test_boundary_flux_is_linear_in_x(inputs, a, b):
+    momenta, value, q, X, Y = inputs
+    got = boundary_flux(momenta, value, q, a * X + b * Y)
+    want = a * boundary_flux(momenta, value, q, X) + b * boundary_flux(momenta, value, q, Y)
+    flux_map = boundary_flux(momenta, value, q, np.eye(X.size))
+    scale = np.abs(flux_map).sum(axis=1) * (abs(a) * np.abs(X).max() + abs(b) * np.abs(Y).max())
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@st.composite
+def builtin_elements(draw):
+    """A built-in Lagrangian and a random slope element of its dimensions."""
+    kind = draw(st.sampled_from(["area", "plucker4", "gram", "dirichlet"]))
+    if kind == "plucker4":
+        L = lag.area_plucker_4d()
+    else:
+        n = draw(st.integers(2, 5))
+        if kind == "area":
+            L = lag.area_hypersurface(n)
+        else:
+            p = draw(st.integers(1, n - 1))
+            L = lag.area_graph_gram(n, p) if kind == "gram" else lag.dirichlet(n, p)
+    slopes = draw(hnp.arrays(float, (L.codim, L.p), elements=_floats(3)))
+    return L, elem(L.n, L.p, slopes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(builtin_elements(), st.data())
+def test_variational_frame_combinations_have_no_flux(case, data):
+    L, e = case
+    value = L(np.zeros(L.p), np.zeros(L.codim), e.slopes)
+    assume(abs(value) > 0.1)
+    lam = data.draw(hnp.arrays(float, L.codim, elements=_floats(5)))
+    res = boundary_residual_of_field(L, e, lam @ variational_frame(L, e).vectors)
+    assert np.linalg.norm(res) <= 1e-10 * abs(value) * np.linalg.norm(lam)
 
 
 def test_variational_frame_flags_vanishing_lagrangian():
