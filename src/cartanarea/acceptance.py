@@ -341,7 +341,7 @@ def criterion_7(rng) -> CriterionResult:
         X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
         graph = make_graph(Ld, dom_h, (r, r), X**2 - Y**2)
         harmonic.append(float(np.max(np.abs(el_residual(Ld, graph)))))
-    # The midpoint scheme is exact on quadratics, so this sequence sits at
+    # The midpoint scheme is exact on polynomials of degree 2, so this sequence sits at
     # roundoff; treat all-below-floor as converged.
     if max(harmonic) < _RESIDUAL_EXACT_FLOOR:
         harmonic_ok = True

@@ -22,18 +22,19 @@ the dual evaluations, one einsum and one ``np.bincount``.  The symmetric
 system is factored by ``spla.splu`` with minimum-degree ordering on
 A^T + A (``permc_spec="MMD_AT_PLUS_A"``).  On every grid the factor is
 kept across iterations, a chord step, until a step is damped or cuts the
-residual max-norm by less than 4x; then the Hessian is refactored.  A
-grid of 65 or more nodes per axis that halves cleanly starts from the
-tensor-product cubic prolongation of the solve on the halved grid
-(nested iteration), instead of the harmonic smoother.
+residual max-norm by less than 4x; then the Hessian is refactored.
+Every solve starts from the given ``init``; else, on a grid of 65 or more
+nodes per axis that halves cleanly, from the tensor-product cubic
+prolongation of the halved grid's solve (nested iteration); else from the
+discrete harmonic extension of the ring data, one exact Newton step of
+:func:`~cartanarea.lagrangian.dirichlet` from the transfinite lift.
 
 ``solve_dirichlet`` reports in ``GridGraph.info`` the iterations, the
-back-substitutions (``linear_solves``, the harmonic smoother's included)
+back-substitutions (``linear_solves``, the harmonic start's included)
 and the factorizations they used (``factorizations``), the seconds spent
-in them and in Hessian assembly (``linear_solve_s``, ``hessian_s``), the
-smoother's outcome (``smoother``) and the coarse grid the solve started
-from (``coarse_start``, or None).  The counters cover the returned grid's
-work, not the coarse solve's.
+in them and in Hessian assembly (``linear_solve_s``, ``hessian_s``) and
+the coarse grid the solve started from (``coarse_start``, or None).  The
+counters cover the returned grid's work, not the coarse solve's.
 """
 
 import functools
@@ -52,8 +53,6 @@ from .errors import NoConvergence, NonFinite, SingularJacobian
 
 _LINESEARCH_DECREASE = 1e-4
 # Grids of at least this many nodes per axis start from the halved grid's solve.
-# The first-variation oracle's grids (at most 33) stay below: its pullback
-# Lagrangian exists only on its own grid's cells, and it solves its halved grids.
 _LARGE_GRID_NODES = 65
 
 
@@ -195,8 +194,8 @@ def solve_dirichlet(
     Hessian factor is kept while full steps cut that norm 4x.  Falls back
     to gradient descent when the Newton system is singular or stalls, then
     retries Newton; raises :class:`NoConvergence` after ``max_iterations``
-    iterations.  Without ``init``, a non-quadratic ``L`` on 65 or more
-    nodes per axis starts from the solve on its halved grid, if any.
+    iterations.  Without ``init``, 65 or more nodes per axis start from
+    the solve on the halved grid, if any, else from the harmonic start.
     """
     if not L.supports_dual:
         raise ValueError(
@@ -210,11 +209,9 @@ def solve_dirichlet(
 
 
 def _solve(L, bvals, domain, resolution, init, max_iterations, tolerance_factor):
-    """Pick the start (coarse solve, smoother or ``init``), run Newton, and
-    wrap the result with this grid's counters."""
+    """Newton from the module's start rule, with this grid's counters."""
     counters = _SolveCounters()
-    mask = boundary_mask(resolution)
-    coarse_res = None if init is not None or L.quadratic else _coarse_resolution(resolution)
+    coarse_res = None if init is not None else _coarse_resolution(resolution)
     if coarse_res is not None:
         try:
             coarse = _solve(
@@ -225,15 +222,15 @@ def _solve(L, bvals, domain, resolution, init, max_iterations, tolerance_factor)
         except (NoConvergence, SingularJacobian):
             coarse_res = None
     if init is None:
-        values, smoother = _default_init(L, bvals, domain, resolution, counters)
+        values = _harmonic_start(L, bvals, domain, resolution, counters)
     else:
+        mask = boundary_mask(resolution)
         values = np.array(init, dtype=float)
         values[mask] = bvals[mask]
-        smoother = "not run"
     values, info = _newton(
         L, values, domain, resolution, max_iterations, tolerance_factor, counters
     )
-    info.update(asdict(counters), smoother=smoother, coarse_start=coarse_res)
+    info.update(asdict(counters), coarse_start=coarse_res)
     return GridGraph(
         p=L.p,
         codim=L.codim,
@@ -526,7 +523,7 @@ def _hessian_pattern(resolution, m) -> _HessianPattern:
 
 @dataclass
 class _SolveCounters:
-    """Linear-algebra work of one ``solve_dirichlet`` grid, smoother included.
+    """Linear-algebra work of one ``solve_dirichlet`` grid, its start included.
 
     ``linear_solves`` counts back-substitutions, ``factorizations`` the
     SuperLU factors they used; ``linear_solve_s`` times both.
@@ -715,21 +712,20 @@ def _boundary_array(L, boundary_data, domain, resolution):
     if callable(boundary_data):
         axes = grid_axes(domain, resolution)
         bvals = np.zeros(shape)
-        mask = boundary_mask(resolution)
-        for idx in np.argwhere(mask):
+        for idx in np.argwhere(boundary_mask(resolution)):
             x = np.array([axes[k][idx[k]] for k in range(L.p)])
             bvals[tuple(idx)] = np.broadcast_to(
                 np.asarray(boundary_data(x), dtype=float), (L.codim,)
             )
-        return bvals
-    bvals = np.asarray(boundary_data, dtype=float)
-    if bvals.shape == tuple(resolution):
-        bvals = bvals[..., None]
-    if bvals.shape != shape:
-        raise ValueError(f"boundary data must have shape {shape}, got {bvals.shape}")
+    else:
+        bvals = np.array(boundary_data, dtype=float)
+        if bvals.shape == tuple(resolution):
+            bvals = bvals[..., None]
+        if bvals.shape != shape:
+            raise ValueError(f"boundary data must have shape {shape}, got {bvals.shape}")
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary data must be finite")
-    return bvals.copy()
+    return bvals
 
 
 def _transfinite(bvals, domain, resolution):
@@ -756,26 +752,20 @@ def _transfinite(bvals, domain, resolution):
     return out
 
 
-def _default_init(L, bvals, domain, resolution, counters):
-    """Harmonic (p=2) or affine (p=1) interpolation of the ring data.
-
-    Returns the initial values and the smoother's outcome: ``"not run"``
-    for a quadratic Lagrangian (the patch is its own start), else
-    ``"converged"`` or the error the smoother raised.
-    """
-    init = _transfinite(bvals, domain, resolution)
+def _harmonic_start(L, bvals, domain, resolution, counters):
+    """The discrete harmonic extension of the ring data: ``dirichlet(n, p)`` is of degree
+    two, so one Newton step from the transfinite lift is exact (SPD on finite data)."""
+    values = _transfinite(bvals, domain, resolution)
     mask = boundary_mask(resolution)
-    init[mask] = bvals[mask]
-    if L.quadratic:
-        return init, "not run"
-    smoother = _lag.dirichlet(L.n, L.p)
-    try:
-        init, _ = _newton(smoother, init, domain, resolution, 50, 1e-8, counters)
-        outcome = "converged"
-    except (NoConvergence, SingularJacobian) as err:
-        outcome = f"{type(err).__name__}: {err}"
-    init[mask] = bvals[mask]
-    return init, outcome
+    values[mask] = bvals[mask]
+    cells = _CellScheme(_lag.dirichlet(L.n, L.p), domain, resolution)
+    interior = _hessian_pattern(cells.resolution, cells.m).interior
+    grad, _ = cells.gradient(values)
+    g = grad.reshape(-1)[interior]
+    if np.any(g):  # else the lift is already the minimizer (zero ring data)
+        factor = _factorize(cells, values, counters)
+        values.reshape(-1)[interior] += _back_substitute(factor, -g, counters)
+    return values
 
 
 def _check_graph_dims(L, graph: GridGraph):

@@ -27,9 +27,7 @@ class LagrangianField:
 
     ``func(x, z, q) -> scalar`` must accept entries that are floats,
     numpy arrays, or duals when ``supports_dual`` is true.  Smoothness of
-    class C^2 on the declared domain is a caller contract.  ``quadratic``
-    marks an integrand that is quadratic in (z, q), whose Newton solve
-    needs no harmonic pre-smoothing.
+    class C^2 on the declared domain is a caller contract.
     """
 
     n: int
@@ -37,7 +35,6 @@ class LagrangianField:
     func: Callable
     name: str = ""
     supports_dual: bool = True
-    quadratic: bool = False
 
     def __post_init__(self):
         if not 1 <= self.p <= self.n - 1:
@@ -330,7 +327,7 @@ def area_graph_gram(n: int, p: int) -> LagrangianField:
 
 
 def dirichlet(n: int, p: int) -> LagrangianField:
-    """Quadratic test integrand (1/2) sum of squared slopes."""
+    """Test integrand (1/2) sum of squared slopes; its extremal is harmonic."""
     m = n - p
 
     def f(x, z, q):
@@ -340,7 +337,7 @@ def dirichlet(n: int, p: int) -> LagrangianField:
                 s = s + q[i][j] * q[i][j]
         return 0.5 * s
 
-    return LagrangianField(n=n, p=p, func=f, name=f"dirichlet{n}.{p}", quadratic=True)
+    return LagrangianField(n=n, p=p, func=f, name=f"dirichlet{n}.{p}")
 
 
 def euclidean_norm(n: int) -> HomogenizedLagrangian:

@@ -567,7 +567,7 @@ def _edge_samples(bd: _BoundaryData, spec, resolution):
     Per end (p = 1) or edge (p = 2): base points and fiber values at the
     grid ticks, their velocities in t, and (p = 2) the displacement's jumps
     (2, n) at the corners against the edge's one-sided limit, extrapolated
-    quadratically from three points inside (O(_CORNER_OFFSET^3) if smooth).
+    by the parabola through three points inside (O(_CORNER_OFFSET^3) if smooth).
     A node follows its boundary point, but an along-edge jump (a slide) is
     spread linearly over the interior nodes, whose data the t = 0 slopes
     carry along: a slid corner stretches the whole edge.
@@ -658,29 +658,42 @@ def _coons_pullback(L, domain, curves):
     ``curves`` holds the node points of each displaced edge.  The patch is
     built at the grid nodes and carried to the cell centres, with its
     derivatives, by the local polynomials of :func:`_midpoint_weights`.
+    On the grid of every 2^k-th node (a nested start) the patch is built,
+    once, from every 2^k-th node of the same curves.
     """
-    bottom, top, left, right = (curves[k] for k in ("ymin", "ymax", "xmin", "xmax"))
-    # Reference coordinates in [0, 1]; trailing axis: the base components.
-    u = np.linspace(0.0, 1.0, len(bottom))[:, None, None]
-    v = np.linspace(0.0, 1.0, len(left))[None, :, None]
-    corners = (1 - u) * (1 - v) * bottom[0] + u * (1 - v) * bottom[-1]
-    corners += (1 - u) * v * top[0] + u * v * top[-1]
-    phi = (1 - v) * bottom[:, None] + v * top[:, None] + (1 - u) * left + u * right - corners
-    (value1, slope1), (value2, slope2) = (_midpoint_weights(len(c)) for c in (bottom, left))
-    steps = [(hi - lo) / (len(c) - 1) for (lo, hi), c in zip(domain, (bottom, left))]
-    xphys = list(np.einsum("ai,bj,ijc->cab", value1, value2, phi, optimize=True))
-    d1 = np.einsum("ai,bj,ijc->cab", slope1, value2, phi, optimize=True) / steps[0]
-    d2 = np.einsum("ai,bj,ijc->cab", value1, slope2, phi, optimize=True) / steps[1]
-    jac_det = d1[0] * d2[1] - d1[1] * d2[0]
-    if np.any(jac_det <= 0.0):
-        raise ChartExit("deformed region folds over the base chart")
-    # Inverse transpose columns give physical slopes from reference ones.
-    inv = np.array([[d2[1], -d2[0]], [-d1[1], d1[0]]]) / jac_det
-    cell_shape = jac_det.shape
+    geometry = {}
+
+    def patch(stride):
+        bottom, top, left, right = (curves[k][::stride] for k in ("ymin", "ymax", "xmin", "xmax"))
+        # Reference coordinates in [0, 1]; trailing axis: the base components.
+        u = np.linspace(0.0, 1.0, len(bottom))[:, None, None]
+        v = np.linspace(0.0, 1.0, len(left))[None, :, None]
+        corners = (1 - u) * (1 - v) * bottom[0] + u * (1 - v) * bottom[-1]
+        corners += (1 - u) * v * top[0] + u * v * top[-1]
+        phi = (1 - v) * bottom[:, None] + v * top[:, None] + (1 - u) * left + u * right - corners
+        (value1, slope1), (value2, slope2) = (_midpoint_weights(len(c)) for c in (bottom, left))
+        steps = [(hi - lo) / (len(c) - 1) for (lo, hi), c in zip(domain, (bottom, left))]
+        xphys = list(np.einsum("ai,bj,ijc->cab", value1, value2, phi, optimize=True))
+        d1 = np.einsum("ai,bj,ijc->cab", slope1, value2, phi, optimize=True) / steps[0]
+        d2 = np.einsum("ai,bj,ijc->cab", value1, slope2, phi, optimize=True) / steps[1]
+        jac_det = d1[0] * d2[1] - d1[1] * d2[0]
+        if np.any(jac_det <= 0.0):
+            raise ChartExit("deformed region folds over the base chart")
+        # Inverse transpose columns give physical slopes from reference ones.
+        inv = np.array([[d2[1], -d2[0]], [-d1[1], d1[0]]]) / jac_det
+        geometry[jac_det.shape] = xphys, jac_det, inv
+
+    patch(1)
+    (cell_shape,) = geometry
 
     def wrapped(x, z, q):
-        if np.shape(x[0]) != cell_shape:
-            raise ValueError("pullback Lagrangian is defined on midpoint cells only")
+        shape = np.shape(x[0])
+        if shape not in geometry:
+            stride = cell_shape[0] // shape[0] if len(shape) == 2 and shape[0] else 0
+            if not stride or stride & (stride - 1) or cell_shape != tuple(stride * c for c in shape):
+                raise ValueError("pullback Lagrangian is defined on its grid and its halvings only")
+            patch(stride)
+        xphys, jac_det, inv = geometry[shape]
         qphys = [
             [q[i][0] * inv[0, j] + q[i][1] * inv[1, j] for j in range(2)]
             for i in range(L.codim)

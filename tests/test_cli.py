@@ -314,6 +314,13 @@ def test_degenerate_domain_is_a_usage_error(runner, domain):
     assert "lo < hi" in result.output
 
 
+def test_non_finite_boundary_expression_is_a_usage_error(runner):
+    args = ["solve", "--lagrangian", "area3", "--resolution", "9", "--boundary", "log(x1)"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "boundary data must be finite" in result.output
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

@@ -291,45 +291,65 @@ def test_solve_info_counters():
     assert info["coarse_start"] is None
     assert info["linear_solve_s"] > 0.0
     assert info["hessian_s"] > 0.0
-    assert info["smoother"] == "converged"
 
 
-def test_default_init_smooths_by_property_not_name(monkeypatch):
-    # a non-quadratic expression named like the built-in still gets the smoother
-    L = lag.from_expression("sqrt(1 + q1_1**2 + q1_2**2)", 3, 2, name="dirichlet_like")
-    assert not L.quadratic
-    assert lag.dirichlet(3, 2).quadratic
-    sol = solve_dirichlet(L, scherk, SCHERK_DOM, 9)
-    assert sol.info["smoother"] == "converged"
-    assert sol.info["converged"]
-    quad = solve_dirichlet(lag.dirichlet(3, 2), scherk, SCHERK_DOM, 9)
-    assert quad.info["smoother"] == "not run"
-    # a smoother failure is recorded, not swallowed silently
-    real_newton = extremal._newton
+def _gram42_ring(x):
+    # not harmonic: the Dirichlet minimizer differs from the transfinite lift
+    return np.array([x[0] ** 2 * x[1], np.sin(2.0 * x[0]) - x[1] ** 3])
 
-    def failing(L, *args):
-        if L.quadratic:
-            raise extremal.NoConvergence("stub")
-        return real_newton(L, *args)
 
-    monkeypatch.setattr(extremal, "_newton", failing)
-    sol = solve_dirichlet(L, scherk, SCHERK_DOM, 9)
-    assert sol.info["smoother"] == "NoConvergence: stub"
-    assert sol.info["converged"]
+@pytest.mark.parametrize(
+    "L, bc, domain",
+    [(lag.area_hypersurface(3), scherk, SCHERK_DOM), (lag.area_graph_gram(4, 2), _gram42_ring, DOM)],
+    ids=["area3-scherk", "gram4.2"],
+)
+def test_harmonic_start_is_one_exact_newton_step(L, bc, domain):
+    # the start is the minimizer of the Dirichlet action on the ring data:
+    # Newton on dirichlet(n, p) from the transfinite lift lands on it
+    resolution = (17, 17)
+    bvals = extremal._boundary_array(L, bc, domain, resolution)
+    counters = extremal._SolveCounters()
+    start = extremal._harmonic_start(L, bvals, domain, resolution, counters)
+    assert (counters.factorizations, counters.linear_solves) == (1, 1)
+    lift = extremal._transfinite(bvals, domain, resolution)
+    mask = extremal.boundary_mask(resolution)
+    lift[mask] = bvals[mask]
+    assert np.max(np.abs(lift - start)) > 1e-3
+    reference, info = extremal._newton(
+        lag.dirichlet(L.n, L.p), lift, domain, resolution, 50, 1e-12, extremal._SolveCounters()
+    )
+    assert info["converged"]
+    assert np.max(np.abs(start - reference)) <= 1e-14
+    # on zero ring data the lift is already the minimizer: nothing is factored
+    counters = extremal._SolveCounters()
+    assert not np.any(extremal._harmonic_start(L, 0.0 * bvals, domain, resolution, counters))
+    assert counters.factorizations == counters.linear_solves == 0
+    # for dirichlet itself the start is the answer
+    sol = solve_dirichlet(lag.dirichlet(L.n, L.p), bc, domain, 17)
+    assert sol.info["converged"] and sol.info["iterations"] == 1
+    assert sol.info["factorizations"] == sol.info["linear_solves"] == 1
+
+
+def test_ring_data_must_be_finite_callable_or_array():
+    L = lag.area_hypersurface(3)
+    with pytest.raises(ValueError, match="boundary data must be finite"):
+        solve_dirichlet(L, lambda x: np.nan, DOM, 9)
+    with pytest.raises(ValueError, match="boundary data must be finite"):
+        solve_dirichlet(L, np.full((9, 9), np.nan), DOM, 9)
+    with pytest.raises(ValueError, match="boundary data must be finite"):
+        solve_dirichlet(L, lambda x: np.log(x[0]), DOM, 9)
 
 
 def test_coarse_start_matches_smoother_start(monkeypatch):
     # 65 nodes halve to 33: the solve starts from the coarse solution and
-    # must land on the same discrete minimum as the smoother's start
+    # must land on the same discrete minimum as the harmonic start
     L = lag.area_hypersurface(3)
     coarse = solve_dirichlet(L, scherk, SCHERK_DOM, 65)
     assert coarse.info["coarse_start"] == (33, 33)
-    assert coarse.info["smoother"] == "not run"
     assert coarse.info["factorizations"] <= 2
     monkeypatch.setattr(extremal, "_coarse_resolution", lambda resolution: None)
     smooth = solve_dirichlet(L, scherk, SCHERK_DOM, 65)
     assert smooth.info["coarse_start"] is None
-    assert smooth.info["smoother"] == "converged"
     assert np.max(np.abs(coarse.values - smooth.values)) <= 1e-12
 
 
@@ -343,12 +363,12 @@ def test_coarse_start_needs_a_clean_halving():
     assert extremal.halved_resolution((9, 33)) == (5, 17)
     assert extremal.halved_resolution((7, 33)) is None
     assert extremal.halved_resolution((33, 32)) is None
-    # a given init or a quadratic Lagrangian keeps its own start
+    # a given init keeps its own start; every Lagrangian follows the same rule
     L = lag.area_hypersurface(3)
     given = solve_dirichlet(L, scherk, SCHERK_DOM, 65, init=np.zeros((65, 65, 1)))
     assert given.info["coarse_start"] is None
     quad = solve_dirichlet(lag.dirichlet(3, 2), scherk, SCHERK_DOM, 65)
-    assert quad.info["coarse_start"] is None
+    assert quad.info["coarse_start"] == (33, 33)
 
 
 def test_poor_init_forces_refactorization():
@@ -357,7 +377,6 @@ def test_poor_init_forces_refactorization():
     L = lag.area_hypersurface(3)
     sol = solve_dirichlet(L, scherk, SCHERK_DOM, 17, init=np.zeros((17, 17, 1)))
     assert sol.info["converged"]
-    assert sol.info["smoother"] == "not run"
     assert sol.info["factorizations"] > 1
     assert sol.info["factorizations"] <= sol.info["linear_solves"]
     assert np.max(np.abs(el_residual(L, sol))) <= 1e-10 * (1.0 + sol.info["action"])
@@ -365,7 +384,7 @@ def test_poor_init_forces_refactorization():
 
 def test_oracle_grid_keeps_the_factor(monkeypatch):
     # a 33-node grid runs the same chord policy as a large one: from the
-    # smoother's start, full steps that contract 4x reuse the factor
+    # harmonic start, full steps that contract 4x reuse the factor
     L = lag.area_hypersurface(3)
     kept = solve_dirichlet(L, scherk, SCHERK_DOM, 33)
     assert kept.info["coarse_start"] is None

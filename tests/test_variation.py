@@ -4,7 +4,7 @@ import pytest
 from cartanarea import lagrangian as lag
 from cartanarea import variation as va
 from cartanarea.errors import NotCritical
-from cartanarea.extremal import make_graph, solve_dirichlet
+from cartanarea.extremal import action, make_graph, observed_orders, solve_dirichlet
 from cartanarea.frames import cartan_frame, variational_frame
 from cartanarea.grassmann import GrassmannElement
 
@@ -116,6 +116,25 @@ def test_deformed_problem_is_the_box_at_t_zero(flat_base):
     L_t, ring, domain_t = va._deformed_problem(L3, samples, DOM, (9, 9), 0.0)
     assert domain_t == DOM and ring.shape == (9, 9, 1) and not np.any(ring)
     assert va._deformed_action(L3, samples, DOM, (9, 9), 0.0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_pullback_serves_every_halving_of_its_grid():
+    # the undeformed box pulls back to the original integrand on the grid
+    # of every 2^k-th node; other cell shapes are refused
+    t, zero, one = np.linspace(0.0, 1.0, 33), np.zeros(33), np.ones(33)
+    curves = {
+        "ymin": np.stack([t, zero], 1),
+        "ymax": np.stack([t, one], 1),
+        "xmin": np.stack([zero, t], 1),
+        "xmax": np.stack([one, t], 1),
+    }
+    L_t = va._coons_pullback(L3, DOM, curves)
+    for res in (33, 17, 9, 5):
+        r = np.linspace(0.0, 1.0, res)
+        graph = make_graph(L3, DOM, (res, res), np.add.outer(r**2, 0.5 * r))
+        assert action(L_t, graph).value == pytest.approx(action(L3, graph).value, rel=1e-13)
+    with pytest.raises(ValueError, match="halvings"):
+        action(L_t, make_graph(L3, DOM, (13, 13), np.zeros((13, 13))))
 
 
 def test_linearity_in_intensity():
@@ -374,6 +393,24 @@ def test_graph_slope_frame_on_x1x2_order_and_budget():
         gap = abs(rep.boundary_formula_value - rep.dA_dt)
         assert (gap <= va.formula_budget(rep.dA_dt, rep.A0)) == (verdict == "normal")
         assert rep.classification == verdict
+
+
+def test_x1x2_oracle_series_runs_on_nested_start_grids():
+    # at 65 nodes the deformed re-solves start from their halved grid, so
+    # the Coons pullback must serve that grid's cells too
+    def bc(x):
+        return np.array([x[0] * x[1]])
+
+    rates = []
+    for res in (17, 33, 65):
+        base = solve_dirichlet(L3, bc, DOM, res)
+        field = va.frame_field(L3, va.graph_slopes_fn(base))
+        psi = va.random_intensity(np.random.default_rng(7), 3)
+        spec = va.DeformationSpec(direction=field, intensity=psi)
+        (row,) = va.normality_scan(L3, base, [("frame", spec)], boundary_data=bc)
+        assert row.report is not None, row.note
+        rates.append(abs(row.report.dA_dt))
+    assert min(observed_orders(rates)) >= 1.9
 
 
 def test_explicit_fields_keep_their_verdicts(scherk_base):
