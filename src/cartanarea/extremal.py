@@ -27,7 +27,11 @@ Every solve starts from the given ``init``; else, on a grid of 65 or more
 nodes per axis that halves cleanly, from the tensor-product cubic
 prolongation of the halved grid's solve (nested iteration); else from the
 discrete harmonic extension of the ring data, one exact Newton step of
-:func:`~cartanarea.lagrangian.dirichlet` from the transfinite lift.
+:func:`~cartanarea.lagrangian.dirichlet` from the transfinite lift (no
+step where the lift already meets the convergence test, as on affine
+data).  The first-variation oracle also hands each deformed re-solve a
+factor of its base's Hessian, which Newton keeps under the same policy as
+one of its own; nothing else passes one in.
 
 ``solve_dirichlet`` reports in ``GridGraph.info`` the iterations, the
 back-substitutions (``linear_solves``, the harmonic start's included)
@@ -197,19 +201,24 @@ def solve_dirichlet(
     iterations.  Without ``init``, 65 or more nodes per axis start from
     the solve on the halved grid, if any, else from the harmonic start.
     """
-    if not L.supports_dual:
-        raise ValueError(
-            "solve_dirichlet needs a dual-differentiable Lagrangian "
-            "(expression-built or built-in)"
-        )
+    _require_dual(L)
     domain = tuple((float(lo), float(hi)) for lo, hi in domain)
     resolution = _normalize_resolution(resolution, L.p)
     bvals = _boundary_array(L, boundary_data, domain, resolution)
     return _solve(L, bvals, domain, resolution, init, max_iterations, tolerance_factor)
 
 
-def _solve(L, bvals, domain, resolution, init, max_iterations, tolerance_factor):
-    """Newton from the module's start rule, with this grid's counters."""
+def _require_dual(L):
+    if not L.supports_dual:
+        raise ValueError(
+            "solve_dirichlet needs a dual-differentiable Lagrangian "
+            "(expression-built or built-in)"
+        )
+
+
+def _solve(L, bvals, domain, resolution, init, max_iterations=200, tolerance_factor=1e-10, factor=None):
+    """Newton from the module's start rule (and ``factor``, see :func:`_newton`),
+    with this grid's counters."""
     counters = _SolveCounters()
     coarse_res = None if init is not None else _coarse_resolution(resolution)
     if coarse_res is not None:
@@ -222,13 +231,13 @@ def _solve(L, bvals, domain, resolution, init, max_iterations, tolerance_factor)
         except (NoConvergence, SingularJacobian):
             coarse_res = None
     if init is None:
-        values = _harmonic_start(L, bvals, domain, resolution, counters)
+        values = _harmonic_start(L, bvals, domain, resolution, tolerance_factor, counters)
     else:
         mask = boundary_mask(resolution)
         values = np.array(init, dtype=float)
         values[mask] = bvals[mask]
     values, info = _newton(
-        L, values, domain, resolution, max_iterations, tolerance_factor, counters
+        L, values, domain, resolution, max_iterations, tolerance_factor, counters, factor
     )
     info.update(asdict(counters), coarse_start=coarse_res)
     return GridGraph(
@@ -540,14 +549,15 @@ class _SolveCounters:
 _REUSE_CONTRACTION = 0.25
 
 
-def _newton(L, values, domain, resolution, max_iterations, tolerance_factor, counters):
+def _newton(L, values, domain, resolution, max_iterations, tolerance_factor, counters, factor=None):
+    """Damped Newton from ``values``.  ``factor``, a SuperLU factor of the interior
+    Hessian at a nearby point or problem, is kept from the first step like one of its own."""
     cells = _CellScheme(L, domain, resolution)
     interior = _hessian_pattern(cells.resolution, cells.m).interior
     values = values.copy()
     history = []
     descent_rounds = 0
     carried = None  # (gradient, action) of ``values`` from an accepted line search
-    factor = None  # SuperLU of the interior Hessian at an earlier iterate
     it = 0
     while it < max_iterations:
         it += 1
@@ -712,11 +722,13 @@ def _boundary_array(L, boundary_data, domain, resolution):
     if callable(boundary_data):
         axes = grid_axes(domain, resolution)
         bvals = np.zeros(shape)
-        for idx in np.argwhere(boundary_mask(resolution)):
-            x = np.array([axes[k][idx[k]] for k in range(L.p)])
-            bvals[tuple(idx)] = np.broadcast_to(
-                np.asarray(boundary_data(x), dtype=float), (L.codim,)
-            )
+        # Faults show as non-finite values, which the check below rejects.
+        with np.errstate(all="ignore"):
+            for idx in np.argwhere(boundary_mask(resolution)):
+                x = np.array([axes[k][idx[k]] for k in range(L.p)])
+                bvals[tuple(idx)] = np.broadcast_to(
+                    np.asarray(boundary_data(x), dtype=float), (L.codim,)
+                )
     else:
         bvals = np.array(boundary_data, dtype=float)
         if bvals.shape == tuple(resolution):
@@ -752,17 +764,18 @@ def _transfinite(bvals, domain, resolution):
     return out
 
 
-def _harmonic_start(L, bvals, domain, resolution, counters):
+def _harmonic_start(L, bvals, domain, resolution, tolerance_factor, counters):
     """The discrete harmonic extension of the ring data: ``dirichlet(n, p)`` is of degree
-    two, so one Newton step from the transfinite lift is exact (SPD on finite data)."""
+    two, so one Newton step from the transfinite lift is exact (SPD on finite data).
+    The step is skipped where Newton's own test finds the lift converged (affine data)."""
     values = _transfinite(bvals, domain, resolution)
     mask = boundary_mask(resolution)
     values[mask] = bvals[mask]
     cells = _CellScheme(_lag.dirichlet(L.n, L.p), domain, resolution)
     interior = _hessian_pattern(cells.resolution, cells.m).interior
-    grad, _ = cells.gradient(values)
+    grad, A = cells.gradient(values)
     g = grad.reshape(-1)[interior]
-    if np.any(g):  # else the lift is already the minimizer (zero ring data)
+    if np.max(np.abs(g)) / cells.cell_volume >= tolerance_factor * (1.0 + abs(A)):
         factor = _factorize(cells, values, counters)
         values.reshape(-1)[interior] += _back_substitute(factor, -g, counters)
     return values

@@ -14,6 +14,12 @@ nodes follow their boundary points, except that a corner sliding along
 an edge stretches the whole edge.  Rigidly moved edges give an affine
 map: the midpoint scheme on the moved box.
 
+The deformed problem is O(t) away from the base, so each re-solve starts
+from the base values on its grid and keeps, as its chord factor, one
+SuperLU factor of L's interior Hessian at those values, built once per
+report and grid: the chord steps contract by O(t), and the re-solves
+factor nothing of their own.
+
 A corner whose displacement leaves a neighbouring edge's limit normal to
 that edge tears off it.  No re-fit closes that gap uniquely, so such a
 row reads ``inconclusive`` (``corner-tear``).
@@ -38,15 +44,21 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ChartExit, NoConvergence, NonFinite, NotCritical, SingularJacobian
 from .extremal import (
     GridGraph,
+    _boundary_array,
+    _CellScheme,
     _cubic_table,
+    _factorize,
     _lagrange_basis,
+    _require_dual,
+    _solve,
+    _SolveCounters,
     action,
     el_residual,
     grid_axes,
@@ -317,7 +329,11 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     The O(h^2) bias of the discrete minima does not cancel in the
     t-differences, so every deformed action is also computed on a
     mesh-doubled (coarser) grid and Richardson-extrapolated before
-    differencing; the diagnostics keep both levels.
+    differencing; the diagnostics keep both levels.  Each level's
+    re-solves start from that level's base on one shared Hessian factor
+    (:func:`_oracle_level`).  ``diagnostics["factorizations"]`` and
+    ``["newton_iterations"]`` sum the re-solves' own work and count the
+    shared factors too; the base solves are not in them.
 
     A displacement that tears a corner off a neighbouring edge
     (:func:`_corner_tear`) makes the row ``inconclusive``
@@ -334,33 +350,42 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     A0 = action(L, base).value
     domain, resolution = base.domain, base.resolution
     bd = _BoundaryData(base, boundary_data)
-
-    def coarse_data(stride):
-        # The user's callable, else the base nodes the coarser grid keeps.
-        if bd.dirichlet is not None:
-            return bd.dirichlet
-        return base.values[(slice(None, None, stride),) * base.p]
-
-    coarse_res = halved_resolution(resolution)
-    samples = {res: _edge_samples(bd, spec, res) for res in (resolution, coarse_res) if res}
-    torn = base.p == 2 and _corner_tear(samples[resolution])
+    # The base and up to two mesh-doubled solves: the oracle's two levels,
+    # and the boundary formula's, whose bias (one-sided slopes of the
+    # discrete solve, with corner pollution) needs two extrapolation levels
+    # to come out below the oracle's noise.  Coarse data are the user's
+    # callable, else the base nodes the coarser grid keeps.
+    bases = [base]
+    for stride in (2, 4):
+        res = halved_resolution(bases[-1].resolution)
+        if res is None:
+            break
+        data = bd.dirichlet
+        if data is None:
+            data = base.values[(slice(None, None, stride),) * base.p]
+        bases.append(solve_dirichlet(L, data, domain, res))
+    solves = len(bases) - 1
+    levels = [_oracle_level(L, bd, spec, b) for b in bases[:2]]
+    coarse_res = bases[1].resolution if len(bases) > 1 else None
+    torn = base.p == 2 and _corner_tear(levels[0].samples)
     diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in domain))
     h = spec.step if spec.step is not None else DEFAULT_STEP_FACTOR * diam
+    # The re-solves' own Newton work, plus the factors the levels share.
+    work = {"factorizations": sum(lv.factor is not None for lv in levels), "newton_iterations": 0}
     halvings = 0
     actions = None
-    solves = 0
     while actions is None:
         try:
             actions = {}
             for t in (-2.0 * h, -h, h, 2.0 * h):
-                fine = _deformed_action(L, samples[resolution], domain, resolution, t)
-                solves += 1
-                if coarse_res:
-                    coarse = _deformed_action(L, samples[coarse_res], domain, coarse_res, t)
-                    solves += 1
-                    actions[t] = ((4.0 * fine - coarse) / 3.0, fine, coarse)
-                else:
-                    actions[t] = (fine, fine, float("nan"))
+                a = []
+                for level in levels:
+                    value, info = _deformed_action(L, level, domain, t)
+                    work["factorizations"] += info["factorizations"]
+                    work["newton_iterations"] += info["iterations"]
+                    a.append(value)
+                solves += len(a)
+                actions[t] = ((4.0 * a[0] - a[1]) / 3.0, *a) if coarse_res else (a[0], a[0], float("nan"))
         except ChartExit:
             actions = None
             halvings += 1
@@ -371,22 +396,12 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
                     dA_dt_order4=float("nan"),
                     boundary_formula_value=first_variation_boundary(L, base, spec),
                     classification="inconclusive",
-                    diagnostics={"step": h, "halvings": halvings, "reason": "chart-exit"},
+                    diagnostics={"step": h, "halvings": halvings, "reason": "chart-exit", **work},
                 )
             h *= 0.5
     ext = {t: a[0] for t, a in actions.items()}
     central = (ext[h] - ext[-h]) / (2.0 * h)
     order4 = (ext[-2.0 * h] - 8.0 * ext[-h] + 8.0 * ext[h] - ext[2.0 * h]) / (12.0 * h)
-    # The formula's bias (one-sided slopes of the discrete solve, with
-    # corner pollution) needs two extrapolation levels to come out below
-    # the oracle's noise.
-    bases = [base]
-    if coarse_res:
-        bases.append(solve_dirichlet(L, coarse_data(2), domain, coarse_res))
-        coarse2 = halved_resolution(coarse_res)
-        if coarse2:
-            bases.append(solve_dirichlet(L, coarse_data(4), domain, coarse2))
-    solves += len(bases) - 1
     tol = TOL_ABS + TOL_REL * abs(A0)
     noise = abs(central - order4)
     if abs(central) <= tol and abs(order4) <= 10.0 * tol:
@@ -401,6 +416,7 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
         "grid_pair": (resolution, coarse_res),
         "actions": {float(t): tuple(map(float, a)) for t, a in sorted(actions.items())},
         "solves": solves,
+        **work,
     }
     if torn:
         classification = "inconclusive"
@@ -607,9 +623,32 @@ def _corner_tear(samples) -> bool:
     return torn > _TEAR_TOL * size
 
 
-def _deformed_action(L, samples, domain, resolution, t) -> float:
-    L_t, ring, domain_t = _deformed_problem(L, samples, domain, resolution, t)
-    return action(L_t, solve_dirichlet(L_t, ring, domain_t, resolution)).value
+class _OracleLevel(NamedTuple):
+    """One grid of the oracle: the boundary motion sampled on it
+    (:func:`_edge_samples`), the base values that every deformed re-solve
+    starts from, and the SuperLU factor of L's interior Hessian at those
+    values, which the re-solves keep as their chord factor."""
+
+    samples: dict
+    values: np.ndarray
+    factor: object
+
+
+def _oracle_level(L, bd: _BoundaryData, spec, base: GridGraph) -> _OracleLevel:
+    """The level on ``base``'s grid; its factor is None where the Hessian is singular."""
+    _require_dual(L)
+    cells = _CellScheme(L, base.domain, base.resolution)
+    factor = _factorize(cells, base.values, _SolveCounters())
+    return _OracleLevel(_edge_samples(bd, spec, base.resolution), base.values, factor)
+
+
+def _deformed_action(L, level: _OracleLevel, domain, t):
+    """The re-solved action at offset t, and the re-solve's ``GridGraph.info``."""
+    resolution = level.values.shape[:-1]
+    L_t, ring, domain_t = _deformed_problem(L, level.samples, domain, resolution, t)
+    bvals = _boundary_array(L_t, ring, domain_t, resolution)  # finite, as solve_dirichlet asks
+    graph = _solve(L_t, bvals, domain_t, resolution, level.values, factor=level.factor)
+    return action(L_t, graph).value, graph.info
 
 
 def _deformed_problem(L, samples, domain, resolution, t):
@@ -658,42 +697,29 @@ def _coons_pullback(L, domain, curves):
     ``curves`` holds the node points of each displaced edge.  The patch is
     built at the grid nodes and carried to the cell centres, with its
     derivatives, by the local polynomials of :func:`_midpoint_weights`.
-    On the grid of every 2^k-th node (a nested start) the patch is built,
-    once, from every 2^k-th node of the same curves.
+    The result is defined on that grid's cells only.
     """
-    geometry = {}
-
-    def patch(stride):
-        bottom, top, left, right = (curves[k][::stride] for k in ("ymin", "ymax", "xmin", "xmax"))
-        # Reference coordinates in [0, 1]; trailing axis: the base components.
-        u = np.linspace(0.0, 1.0, len(bottom))[:, None, None]
-        v = np.linspace(0.0, 1.0, len(left))[None, :, None]
-        corners = (1 - u) * (1 - v) * bottom[0] + u * (1 - v) * bottom[-1]
-        corners += (1 - u) * v * top[0] + u * v * top[-1]
-        phi = (1 - v) * bottom[:, None] + v * top[:, None] + (1 - u) * left + u * right - corners
-        (value1, slope1), (value2, slope2) = (_midpoint_weights(len(c)) for c in (bottom, left))
-        steps = [(hi - lo) / (len(c) - 1) for (lo, hi), c in zip(domain, (bottom, left))]
-        xphys = list(np.einsum("ai,bj,ijc->cab", value1, value2, phi, optimize=True))
-        d1 = np.einsum("ai,bj,ijc->cab", slope1, value2, phi, optimize=True) / steps[0]
-        d2 = np.einsum("ai,bj,ijc->cab", value1, slope2, phi, optimize=True) / steps[1]
-        jac_det = d1[0] * d2[1] - d1[1] * d2[0]
-        if np.any(jac_det <= 0.0):
-            raise ChartExit("deformed region folds over the base chart")
-        # Inverse transpose columns give physical slopes from reference ones.
-        inv = np.array([[d2[1], -d2[0]], [-d1[1], d1[0]]]) / jac_det
-        geometry[jac_det.shape] = xphys, jac_det, inv
-
-    patch(1)
-    (cell_shape,) = geometry
+    bottom, top, left, right = (curves[k] for k in ("ymin", "ymax", "xmin", "xmax"))
+    # Reference coordinates in [0, 1]; trailing axis: the base components.
+    u = np.linspace(0.0, 1.0, len(bottom))[:, None, None]
+    v = np.linspace(0.0, 1.0, len(left))[None, :, None]
+    corners = (1 - u) * (1 - v) * bottom[0] + u * (1 - v) * bottom[-1]
+    corners += (1 - u) * v * top[0] + u * v * top[-1]
+    phi = (1 - v) * bottom[:, None] + v * top[:, None] + (1 - u) * left + u * right - corners
+    (value1, slope1), (value2, slope2) = (_midpoint_weights(len(c)) for c in (bottom, left))
+    steps = [(hi - lo) / (len(c) - 1) for (lo, hi), c in zip(domain, (bottom, left))]
+    xphys = list(np.einsum("ai,bj,ijc->cab", value1, value2, phi, optimize=True))
+    d1 = np.einsum("ai,bj,ijc->cab", slope1, value2, phi, optimize=True) / steps[0]
+    d2 = np.einsum("ai,bj,ijc->cab", value1, slope2, phi, optimize=True) / steps[1]
+    jac_det = d1[0] * d2[1] - d1[1] * d2[0]
+    if np.any(jac_det <= 0.0):
+        raise ChartExit("deformed region folds over the base chart")
+    # Inverse transpose columns give physical slopes from reference ones.
+    inv = np.array([[d2[1], -d2[0]], [-d1[1], d1[0]]]) / jac_det
 
     def wrapped(x, z, q):
-        shape = np.shape(x[0])
-        if shape not in geometry:
-            stride = cell_shape[0] // shape[0] if len(shape) == 2 and shape[0] else 0
-            if not stride or stride & (stride - 1) or cell_shape != tuple(stride * c for c in shape):
-                raise ValueError("pullback Lagrangian is defined on its grid and its halvings only")
-            patch(stride)
-        xphys, jac_det, inv = geometry[shape]
+        if np.shape(x[0]) != jac_det.shape:
+            raise ValueError("pullback Lagrangian is defined on its own grid's cells only")
         qphys = [
             [q[i][0] * inv[0, j] + q[i][1] * inv[1, j] for j in range(2)]
             for i in range(L.codim)

@@ -314,6 +314,7 @@ def test_degenerate_domain_is_a_usage_error(runner, domain):
     assert "lo < hi" in result.output
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # faults are silenced, not printed
 def test_non_finite_boundary_expression_is_a_usage_error(runner):
     args = ["solve", "--lagrangian", "area3", "--resolution", "9", "--boundary", "log(x1)"]
     result = runner.invoke(main, args)

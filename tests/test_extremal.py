@@ -309,7 +309,7 @@ def test_harmonic_start_is_one_exact_newton_step(L, bc, domain):
     resolution = (17, 17)
     bvals = extremal._boundary_array(L, bc, domain, resolution)
     counters = extremal._SolveCounters()
-    start = extremal._harmonic_start(L, bvals, domain, resolution, counters)
+    start = extremal._harmonic_start(L, bvals, domain, resolution, 1e-10, counters)
     assert (counters.factorizations, counters.linear_solves) == (1, 1)
     lift = extremal._transfinite(bvals, domain, resolution)
     mask = extremal.boundary_mask(resolution)
@@ -322,12 +322,27 @@ def test_harmonic_start_is_one_exact_newton_step(L, bc, domain):
     assert np.max(np.abs(start - reference)) <= 1e-14
     # on zero ring data the lift is already the minimizer: nothing is factored
     counters = extremal._SolveCounters()
-    assert not np.any(extremal._harmonic_start(L, 0.0 * bvals, domain, resolution, counters))
+    assert not np.any(extremal._harmonic_start(L, 0.0 * bvals, domain, resolution, 1e-10, counters))
     assert counters.factorizations == counters.linear_solves == 0
     # for dirichlet itself the start is the answer
     sol = solve_dirichlet(lag.dirichlet(L.n, L.p), bc, domain, 17)
     assert sol.info["converged"] and sol.info["iterations"] == 1
     assert sol.info["factorizations"] == sol.info["linear_solves"] == 1
+
+
+@pytest.mark.parametrize("L", [lag.area_graph_gram(4, 2), lag.area_plucker_4d()], ids=lambda L: L.name)
+def test_harmonic_start_takes_no_step_on_affine_ring_data(L):
+    # the transfinite lift of affine data is affine, hence harmonic up to
+    # round-off: Newton's own test finds it converged, and nothing is factored
+    Q, c = np.array([[0.7, -0.2], [0.4, 1.1]]), np.array([0.3, -0.1])
+    resolution = (17, 17)
+    bvals = extremal._boundary_array(L, lambda x: Q @ x + c, DOM, resolution)
+    counters = extremal._SolveCounters()
+    start = extremal._harmonic_start(L, bvals, DOM, resolution, 1e-10, counters)
+    assert counters.factorizations == counters.linear_solves == 0
+    X, Y = np.meshgrid(*grid_axes(DOM, resolution), indexing="ij")
+    affine = np.stack([X, Y], -1) @ Q.T + c
+    assert np.max(np.abs(start - affine)) <= 1e-15
 
 
 def test_ring_data_must_be_finite_callable_or_array():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cartanarea import lagrangian as lag
+from cartanarea import extremal
 from cartanarea import variation as va
 from cartanarea.errors import NotCritical
 from cartanarea.extremal import action, make_graph, observed_orders, solve_dirichlet
@@ -115,12 +116,15 @@ def test_deformed_problem_is_the_box_at_t_zero(flat_base):
     samples = va._edge_samples(va._BoundaryData(flat_base, flat), spec, (9, 9))
     L_t, ring, domain_t = va._deformed_problem(L3, samples, DOM, (9, 9), 0.0)
     assert domain_t == DOM and ring.shape == (9, 9, 1) and not np.any(ring)
-    assert va._deformed_action(L3, samples, DOM, (9, 9), 0.0) == pytest.approx(1.0, abs=1e-14)
+    level = va._oracle_level(L3, va._BoundaryData(flat_base, flat), spec, solve_dirichlet(L3, flat, DOM, 9))
+    value, info = va._deformed_action(L3, level, DOM, 0.0)
+    assert value == pytest.approx(1.0, abs=1e-14)
+    assert info["iterations"] == 1 and info["factorizations"] == 0
 
 
-def test_pullback_serves_every_halving_of_its_grid():
-    # the undeformed box pulls back to the original integrand on the grid
-    # of every 2^k-th node; other cell shapes are refused
+def test_pullback_serves_its_own_grid_only():
+    # the undeformed box pulls back to the original integrand on its grid;
+    # other cell shapes are refused
     t, zero, one = np.linspace(0.0, 1.0, 33), np.zeros(33), np.ones(33)
     curves = {
         "ymin": np.stack([t, zero], 1),
@@ -129,11 +133,9 @@ def test_pullback_serves_every_halving_of_its_grid():
         "xmax": np.stack([one, t], 1),
     }
     L_t = va._coons_pullback(L3, DOM, curves)
-    for res in (33, 17, 9, 5):
-        r = np.linspace(0.0, 1.0, res)
-        graph = make_graph(L3, DOM, (res, res), np.add.outer(r**2, 0.5 * r))
-        assert action(L_t, graph).value == pytest.approx(action(L3, graph).value, rel=1e-13)
-    with pytest.raises(ValueError, match="halvings"):
+    graph = make_graph(L3, DOM, (33, 33), np.add.outer(t**2, 0.5 * t))
+    assert action(L_t, graph).value == pytest.approx(action(L3, graph).value, rel=1e-13)
+    with pytest.raises(ValueError, match="own grid"):
         action(L_t, make_graph(L3, DOM, (13, 13), np.zeros((13, 13))))
 
 
@@ -396,8 +398,8 @@ def test_graph_slope_frame_on_x1x2_order_and_budget():
 
 
 def test_x1x2_oracle_series_runs_on_nested_start_grids():
-    # at 65 nodes the deformed re-solves start from their halved grid, so
-    # the Coons pullback must serve that grid's cells too
+    # at 65 nodes the base solve starts from its halved grid, while the
+    # deformed re-solves start from the base values on their own grid
     def bc(x):
         return np.array([x[0] * x[1]])
 
@@ -429,3 +431,52 @@ def test_explicit_fields_keep_their_verdicts(scherk_base):
         (row,) = va.normality_scan(L3, scherk_base, [(name, spec)], boundary_data=_scherk)
         assert row.report.classification == verdict
         assert "field_order" not in row.report.diagnostics
+
+
+def _tilted(x):
+    return np.array([[0.7, -0.2], [0.4, 1.1]]) @ np.asarray(x)
+
+
+@pytest.mark.parametrize(
+    "L, bc, domain",
+    [(L3, _scherk, ((-0.5, 0.5), (-0.5, 0.5))), (lag.area_graph_gram(4, 2), _tilted, DOM)],
+    ids=["area3-scherk", "gram4.2-tilted"],
+)
+def test_deformed_resolves_match_cold_solves_on_the_shared_factor(L, bc, domain):
+    # every deformed re-solve starts from its level's base on the factor the
+    # level shares; it lands on the cold solve's action and factors nothing
+    base = solve_dirichlet(L, bc, domain, 33)
+    psi = va.random_intensity(np.random.default_rng(11), L.n)
+    spec = va.DeformationSpec(direction=va.frame_field(L, va.graph_slopes_fn(base)), intensity=psi)
+    (row,) = va.normality_scan(L, base, [("frame", spec)], boundary_data=bc)
+    diag = row.report.diagnostics
+    assert diag["grid_pair"] == ((33, 33), (17, 17))
+    assert diag["factorizations"] == 2  # the two shared factors, nothing else
+    assert diag["newton_iterations"] >= 8
+    bd = va._BoundaryData(base, bc)
+    for level, res in enumerate(diag["grid_pair"], start=1):
+        samples = va._edge_samples(bd, spec, res)
+        for t, actions in diag["actions"].items():
+            L_t, ring, domain_t = va._deformed_problem(L, samples, domain, res, t)
+            cold = action(L_t, solve_dirichlet(L_t, ring, domain_t, res)).value
+            assert abs(actions[level] - cold) <= 1e-13 * (1.0 + abs(row.report.A0))
+
+
+def test_poor_shared_factor_is_refactored_and_counted(scherk_base):
+    # the Laplacian's factor in place of the area Hessian's: the chord steps
+    # contract too slowly, so Newton refactors (counted) and lands on the
+    # same action
+    domain = scherk_base.domain
+    spec = va.DeformationSpec(
+        direction=va.frame_field(L3, va.graph_slopes_fn(scherk_base)),
+        intensity=va.random_intensity(np.random.default_rng(12), 3),
+    )
+    good = va._oracle_level(L3, va._BoundaryData(scherk_base, _scherk), spec, scherk_base)
+    cells = extremal._CellScheme(lag.dirichlet(3, 2), domain, scherk_base.resolution)
+    poor = good._replace(factor=extremal._factorize(cells, scherk_base.values, extremal._SolveCounters()))
+    t = 1e-3
+    want, good_info = va._deformed_action(L3, good, domain, t)
+    got, poor_info = va._deformed_action(L3, poor, domain, t)
+    assert good_info["factorizations"] == 0
+    assert poor_info["converged"] and poor_info["factorizations"] >= 1
+    assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
