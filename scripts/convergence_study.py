@@ -22,7 +22,7 @@ from cartanarea import (
 )
 from cartanarea.extremal import grid_axes, make_graph, observed_orders
 from cartanarea.variation import frame_field, random_intensity
-from cartanarea.variation import _BoundaryData, _deformed_action, _oracle_level
+from cartanarea.variation import _BoundaryData, _deformed_action, _edge_samples, _level
 
 DOMAIN = ((-0.5, 0.5), (-0.5, 0.5))
 L = area_hypersurface(3)
@@ -56,10 +56,11 @@ def main(resolutions):
         # single-grid central difference of the deformed actions: its bias
         # is the discretization floor the oracle extrapolates away.  The
         # re-solves start from sol on its Hessian factor, as in the oracle.
-        level = _oracle_level(L, _BoundaryData(sol, scherk), spec, sol)
+        level = _level(L, sol, factored=True)
+        samples = _edge_samples(_BoundaryData(sol, scherk), spec, sol.resolution)
         h = 2.5e-4 * np.sqrt(2.0)
-        a_plus, _ = _deformed_action(L, level, DOMAIN, h)
-        a_minus, _ = _deformed_action(L, level, DOMAIN, -h)
+        a_plus, _ = _deformed_action(L, level, samples, h)
+        a_minus, _ = _deformed_action(L, level, samples, -h)
         floors.append(abs((a_plus - a_minus) / (2.0 * h)))
         print(
             f"r={r:4d}  residual {residuals[-1]:.3e}   solve error {errors[-1]:.3e}"

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import variation as va
+from .errors import CartanAreaError
 from .extremal import (
     el_residual,
     grid_axes,
@@ -242,30 +243,29 @@ def _scherk_slopes(point):
     return np.array([[-np.tan(point[0]), np.tan(point[1])]])
 
 
+def _oracle_reports(L, base, boundary, specs):
+    """The reports of one normality scan of ``specs`` on ``base``; a failed row raises."""
+    rows = va.normality_scan(L, base, list(enumerate(specs)), boundary_data=boundary)
+    for row in rows:
+        if row.report is None:
+            raise CartanAreaError(f"oracle row {row.name}: {row.note}")
+    return [row.report for row in rows]
+
+
 @_timed
 def criterion_4(rng):
     """Flat-patch oracle: vertical frame deformations and an edge slide."""
     L = area_hypersurface(3)
     domain = ((0.0, 1.0), (0.0, 1.0))
-    base = solve_dirichlet(L, lambda x: 0.0, domain, 33)
+    flat = lambda x: 0.0
+    base = solve_dirichlet(L, flat, domain, 33)
     field = va.frame_field(L, va.graph_slopes_fn(base))
-    rows = []
-    worst = 0.0
-    frame_ok = True
-    for k in range(10):
-        psi = va.random_intensity(rng, 3)
-        rep = va.first_variation_fd(
-            L, lambda x: 0.0, domain, 33, va.DeformationSpec(direction=field, intensity=psi)
-        )
-        rows.append(rep)
-        worst = max(worst, abs(rep.dA_dt))
-        frame_ok = frame_ok and abs(rep.dA_dt) <= 1e-6 * rep.A0
-    spec = va.DeformationSpec(
-        direction=lambda m: np.array([1.0, 0.0, 0.0]),
-        intensity=va.edge_indicator(domain, "xmax"),
-    )
-    edge_rep = va.first_variation_fd(L, lambda x: 0.0, domain, 33, spec)
-    rows.append(edge_rep)
+    specs = [va.DeformationSpec(direction=field, intensity=va.random_intensity(rng, 3)) for _ in range(10)]
+    slide = lambda m: np.array([1.0, 0.0, 0.0])
+    specs.append(va.DeformationSpec(direction=slide, intensity=va.edge_indicator(domain, "xmax")))
+    *frames, edge_rep = rows = _oracle_reports(L, base, flat, specs)
+    worst = max(abs(rep.dA_dt) for rep in frames)
+    frame_ok = all(abs(rep.dA_dt) <= 1e-6 * rep.A0 for rep in frames)
     edge_ok = abs(edge_rep.dA_dt - 1.0) <= 1e-3
     result = CriterionResult(
         4,
@@ -281,25 +281,14 @@ def criterion_5(rng):
     """Curved-case oracle on the Scherk patch."""
     L = area_hypersurface(3)
     domain = ((-0.5, 0.5), (-0.5, 0.5))
+    base = solve_dirichlet(L, _scherk, domain, 33)
     field = va.frame_field(L, _scherk_slopes)
-    rows = []
-    worst_rel = 0.0
-    frames_ok = True
-    for _ in range(3):
-        psi = va.random_intensity(rng, 3)
-        rep = va.first_variation_fd(
-            L, _scherk, domain, 33, va.DeformationSpec(direction=field, intensity=psi)
-        )
-        rows.append(rep)
-        rel = abs(rep.dA_dt) / rep.A0
-        worst_rel = max(worst_rel, rel)
-        frames_ok = frames_ok and rep.classification == "normal" and rel <= 1e-5
+    specs = [va.DeformationSpec(direction=field, intensity=va.random_intensity(rng, 3)) for _ in range(3)]
     tangent = va.tangent_field(3, 2, _scherk_slopes, j=0)
-    psi = va.random_intensity(rng, 3)
-    rep = va.first_variation_fd(
-        L, _scherk, domain, 33, va.DeformationSpec(direction=tangent, intensity=psi)
-    )
-    rows.append(rep)
+    specs.append(va.DeformationSpec(direction=tangent, intensity=va.random_intensity(rng, 3)))
+    *frames, rep = rows = _oracle_reports(L, base, _scherk, specs)
+    worst_rel = max(abs(r.dA_dt) / r.A0 for r in frames)
+    frames_ok = all(r.classification == "normal" and abs(r.dA_dt) / r.A0 <= 1e-5 for r in frames)
     tangent_ok = rep.classification == "non-normal"
     result = CriterionResult(
         5,

@@ -14,24 +14,23 @@ nodes follow their boundary points, except that a corner sliding along
 an edge stretches the whole edge.  Rigidly moved edges give an affine
 map: the midpoint scheme on the moved box.
 
-The deformed problem is O(t) away from the base, so each re-solve starts
-from the base values on its grid and keeps, as its chord factor, one
-SuperLU factor of L's interior Hessian at those values, built once per
-report and grid: the chord steps contract by O(t), and the re-solves
-factor nothing of their own.
+A base is solved and factored once per call (:func:`_levels`), and
+:func:`normality_scan` shares it over its rows: its mesh-halved solves,
+the boundary formula's momenta on each grid, and, on the oracle's two
+grids, one SuperLU factor of L's interior Hessian at the base values.
+The deformed problems are O(t) from the base, so each re-solve starts
+from its grid's base values and keeps that factor as its chord factor:
+the chord steps contract by O(t), and the re-solves factor nothing.
 
-A corner whose displacement leaves a neighbouring edge's limit normal to
-that edge tears off it.  No re-fit closes that gap uniquely, so such a
-row reads ``inconclusive`` (``corner-tear``).
-
-One boundary sampler per graph (:class:`_BoundaryData`) feeds the
-re-fit, the corner-tear check, the boundary formula and the graph-slope
-lookup of the fields.  It holds the Dirichlet data (the user's callable,
-else the ring values) and the ring slopes, interpolates them along each
-edge by local cubics that are exact at the nodes, and turns
-run-parameters on an edge into base points and fiber values.  The re-fit
-and the tear check read one sample of the boundary motion per report and
-grid (:func:`_edge_samples`).
+One boundary sampler per graph (:class:`_BoundaryData`) holds the
+Dirichlet data (the user's callable, else the ring values) and the ring
+slopes, interpolates them along each edge by local cubics that are exact
+at the nodes, and serves the graph-slope lookup of the fields.  Each
+report samples the boundary motion once per grid (:func:`_edge_samples`),
+and that one sample feeds the re-fit, the corner-tear check and the
+boundary formula.  A corner whose displacement leaves a neighbouring
+edge's limit normal to that edge tears off it; no re-fit closes that gap
+uniquely, so such a row reads ``inconclusive`` (``corner-tear``).
 
 A frame, tangent or Euclidean-normal field built from the solved graph's
 own slopes carries their O(h^2) error, so a field that is normal in the
@@ -141,12 +140,11 @@ def first_variation_fd(L, boundary_data, domain, resolution, spec: DeformationSp
     other; they run sequentially so the report is deterministic.
     """
     base = solve_dirichlet(L, boundary_data, domain, resolution)
-    return _variation_from_base(L, base, boundary_data, spec)
+    bd = _BoundaryData(base, boundary_data)
+    return _variation_from_base(L, bd, _levels(L, base, bd), spec)
 
 
-def first_variation_boundary(
-    L, graph: GridGraph, spec: DeformationSpec | list[DeformationSpec]
-) -> float | list[float]:
+def first_variation_boundary(L, graph: GridGraph, spec: DeformationSpec) -> float:
     """The boundary line integral giving dA/dt on a critical graph.
 
     At each boundary node, with X = psi*N and the vertical velocity
@@ -154,39 +152,9 @@ def first_variation_boundary(
     the momentum flux sum_i (dL/dq^i_j) df^i/dt + L X^j paired with the
     outward base normal.  Fourth-order slope stencils and Simpson
     integration keep the formula's bias below the re-solve oracle's.
-    ``spec`` may also be a sequence of specs, as the field-order test of
-    :func:`_extrapolated_formula` passes it: the momenta at the nodes do
-    not depend on the field, so they are computed once and paired with
-    each, and a list of values comes back.
     Raises :class:`NotCritical` off shell, where the formula is invalid.
     """
-    specs = [spec] if isinstance(spec, DeformationSpec) else list(spec)
-    A = action(L, graph).value
-    res = float(np.max(np.abs(el_residual(L, graph))))
-    if res > 1e-10 * (1.0 + abs(A)):
-        raise NotCritical(
-            f"graph residual {res:.3e} exceeds 1e-10*(1+|A|); formula is off-shell"
-        )
-    bd = _BoundaryData(graph)
-    totals = [0.0] * len(specs)
-
-    def add(nu, axis, x, z, q, quadrature):
-        # nu: outward sign; axis: the base normal's axis
-        nodes = [(grad_q(L, *args), L(*args), args[2]) for args in zip(x, z, q)]
-        for k, s in enumerate(specs):
-            d = _displacements(s, x, z)
-            totals[k] += quadrature(np.array([nu * boundary_flux(*nd, dk)[axis] for nd, dk in zip(nodes, d)]))
-
-    if graph.p == 1:
-        for side in (0, 1):
-            x, z = bd.end_point(side)
-            add(2.0 * side - 1.0, 0, x[None], z[None], bd.end_slopes[side][None], lambda v: v[0])
-    else:
-        for edge in _EDGES:
-            r = graph.axes[edge.run_axis]
-            add(2.0 * edge.side - 1.0, edge.normal_axis, *bd.points(edge, r), bd.slopes(edge, r),
-                lambda v: _simpson(v, graph.steps[edge.run_axis]))
-    return totals[0] if isinstance(spec, DeformationSpec) else totals
+    return _formula([_level(L, graph)], [_edge_samples(_BoundaryData(graph), spec, graph.resolution)])
 
 
 @dataclass
@@ -203,11 +171,17 @@ def normality_scan(L, graph: GridGraph, candidate_fields, boundary_data=None) ->
     whose re-solves fail are classified inconclusive with the error
     noted.  ``boundary_data`` may supply the graph's Dirichlet data as a
     callable for off-node accuracy; the ring values are used otherwise.
+    The graph's mesh-halved solves, shared factors and boundary momenta
+    are built once, by the first row, and serve every row (:func:`_levels`).
     """
+    bd = _BoundaryData(graph, boundary_data)
+    levels = None  # built by the first row; a failed build is retried by the next
     rows = []
     for name, spec in candidate_fields:
         try:
-            report = _variation_from_base(L, graph, boundary_data, spec)
+            if levels is None:
+                levels = _levels(L, graph, bd)
+            report = _variation_from_base(L, bd, levels, spec)
             rows.append(ScanRow(name=name, report=report))
         except (NoConvergence, ChartExit, NonFinite, SingularJacobian) as exc:
             rows.append(
@@ -323,15 +297,15 @@ def edge_indicator(domain, side: str, rel_tol: float = 1e-9) -> Callable:
 # Internals
 
 
-def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpec) -> VariationReport:
+def _variation_from_base(L, bd, levels, spec: DeformationSpec) -> VariationReport:
     """Difference deformed actions in t, with two-grid error control.
 
     The O(h^2) bias of the discrete minima does not cancel in the
     t-differences, so every deformed action is also computed on a
     mesh-doubled (coarser) grid and Richardson-extrapolated before
     differencing; the diagnostics keep both levels.  Each level's
-    re-solves start from that level's base on one shared Hessian factor
-    (:func:`_oracle_level`).  ``diagnostics["factorizations"]`` and
+    re-solves start from that level's base on its shared Hessian factor
+    (:func:`_levels`).  ``diagnostics["factorizations"]`` and
     ``["newton_iterations"]`` sum the re-solves' own work and count the
     shared factors too; the base solves are not in them.
 
@@ -347,29 +321,16 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     :func:`formula_budget` and the observed order
     ``diagnostics["field_order"]`` is at least ``FIELD_ORDER_MIN``.
     """
-    A0 = action(L, base).value
+    base, A0 = levels[0].graph, levels[0].A
     domain, resolution = base.domain, base.resolution
-    bd = _BoundaryData(base, boundary_data)
-    # The base and up to two mesh-doubled solves: the oracle's two levels,
-    # and the boundary formula's, whose bias (one-sided slopes of the
-    # discrete solve, with corner pollution) needs two extrapolation levels
-    # to come out below the oracle's noise.  Coarse data are the user's
-    # callable, else the base nodes the coarser grid keeps.
-    bases = [base]
-    for stride in (2, 4):
-        res = halved_resolution(bases[-1].resolution)
-        if res is None:
-            break
-        data = bd.dirichlet
-        if data is None:
-            data = base.values[(slice(None, None, stride),) * base.p]
-        bases.append(solve_dirichlet(L, data, domain, res))
-    solves = len(bases) - 1
-    levels = [_oracle_level(L, bd, spec, b) for b in bases[:2]]
-    coarse_res = bases[1].resolution if len(bases) > 1 else None
-    torn = base.p == 2 and _corner_tear(levels[0].samples)
+    sample = lambda s: [_edge_samples(bd, s, lv.graph.resolution) for lv in levels]
+    samples = sample(spec)
+    bval = _formula(levels, samples)
+    coarse_res = levels[1].graph.resolution if len(levels) > 1 else None
+    torn = base.p == 2 and _corner_tear(samples[0])
     diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in domain))
     h = spec.step if spec.step is not None else DEFAULT_STEP_FACTOR * diam
+    solves = len(levels) - 1
     # The re-solves' own Newton work, plus the factors the levels share.
     work = {"factorizations": sum(lv.factor is not None for lv in levels), "newton_iterations": 0}
     halvings = 0
@@ -379,8 +340,8 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
             actions = {}
             for t in (-2.0 * h, -h, h, 2.0 * h):
                 a = []
-                for level in levels:
-                    value, info = _deformed_action(L, level, domain, t)
+                for level, motion in zip(levels[:2], samples):
+                    value, info = _deformed_action(L, level, motion, t)
                     work["factorizations"] += info["factorizations"]
                     work["newton_iterations"] += info["iterations"]
                     a.append(value)
@@ -394,7 +355,7 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
                     A0=A0,
                     dA_dt=float("nan"),
                     dA_dt_order4=float("nan"),
-                    boundary_formula_value=first_variation_boundary(L, base, spec),
+                    boundary_formula_value=float(bval),
                     classification="inconclusive",
                     diagnostics={"step": h, "halvings": halvings, "reason": "chart-exit", **work},
                 )
@@ -421,11 +382,11 @@ def _variation_from_base(L, base: GridGraph, boundary_data, spec: DeformationSpe
     if torn:
         classification = "inconclusive"
         diagnostics["reason"] = "corner-tear"
-    rebuilt = _coarse_rebuild(spec, bases) if classification == "non-normal" else None
-    bval, *rebuilt_bval = _extrapolated_formula(L, bases, [spec] if rebuilt is None else [spec, rebuilt])
-    if rebuilt_bval:
+    rebuilt = _coarse_rebuild(spec, levels) if classification == "non-normal" else None
+    if rebuilt is not None:
+        rebuilt_bval = _formula(levels, sample(rebuilt))
         # The rebuilt field's formula value grows by 2^order.
-        ratio = rebuilt_bval[0] / bval if bval != 0.0 else float("nan")
+        ratio = rebuilt_bval / bval if bval != 0.0 else float("nan")
         order = float(math.log2(ratio)) if ratio > 0.0 else float("nan")
         diagnostics["field_order"] = order
         if abs(bval - central) <= formula_budget(central, A0) and order >= FIELD_ORDER_MIN:
@@ -446,27 +407,28 @@ def formula_budget(dA_dt, A0):
     return max(1e-4 * abs(dA_dt), 1e-6 * (1.0 + A0))
 
 
-def _extrapolated_formula(L, bases, specs):
-    """The boundary formula of each spec, Richardson-extrapolated.
+def _formula(levels, samples):
+    """The boundary formula on each level, its momenta (:func:`_level`)
+    paired with the raw tick displacements of that level's sample of the
+    motion (:func:`_edge_samples`), Richardson-extrapolated over the base
+    and its mesh-halved solves, finest first (:func:`_levels`)."""
+    b = []
+    for level, motion in zip(levels, samples):
+        b.append(0.0)
+        for (nu, axis, nodes, quadrature), (*_, d) in zip(level.ends, motion.values()):
+            b[-1] += quadrature(np.array([nu * boundary_flux(*nd, dk)[axis] for nd, dk in zip(nodes, d)]))
+    level1 = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(b, b[1:])] or [b[0]]
+    return level1[0] if len(level1) == 1 else (8.0 * level1[0] - level1[1]) / 7.0
 
-    ``bases`` are the base graph and up to two mesh-doubled (coarser)
-    solves of the same problem, finest first.
-    """
-    values = []
-    for b in zip(*(first_variation_boundary(L, g, specs) for g in bases)):
-        level1 = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(b, b[1:])] or [b[0]]
-        values.append(level1[0] if len(level1) == 1 else (8.0 * level1[0] - level1[1]) / 7.0)
-    return values
 
-
-def _coarse_rebuild(spec, bases):
+def _coarse_rebuild(spec, levels):
     """The spec with its field rebuilt on the coarse base's slopes; None
     without a coarse base or a field built from the base's own slopes."""
     field_fn = inspect.unwrap(spec.direction)
     slopes = getattr(field_fn, "slopes_fn", None)
-    if len(bases) < 2 or not isinstance(slopes, _BoundaryData) or slopes.resolution != bases[0].resolution:
+    if len(levels) < 2 or not isinstance(slopes, _BoundaryData) or slopes.resolution != levels[0].graph.resolution:
         return None
-    return replace(spec, direction=field_fn.rebuild(graph_slopes_fn(bases[1])))
+    return replace(spec, direction=field_fn.rebuild(graph_slopes_fn(levels[1].graph)))
 
 
 def _simpson(vals, h):
@@ -573,24 +535,26 @@ class _BoundaryData:
         return np.einsum("k...j,jk->k...", coeffs, np.array([np.ones_like(u), u, u * u, u * u * u]))
 
 
-def _displacements(spec, x, z):
-    return np.array([spec.displacement(np.concatenate([xk, zk])) for xk, zk in zip(x, z)])
-
-
 def _edge_samples(bd: _BoundaryData, spec, resolution):
     """The boundary motion, sampled once per report and resolution.
 
-    Per end (p = 1) or edge (p = 2): base points and fiber values at the
-    grid ticks, their velocities in t, and (p = 2) the displacement's jumps
-    (2, n) at the corners against the edge's one-sided limit, extrapolated
-    by the parabola through three points inside (O(_CORNER_OFFSET^3) if smooth).
-    A node follows its boundary point, but an along-edge jump (a slide) is
-    spread linearly over the interior nodes, whose data the t = 0 slopes
-    carry along: a slid corner stretches the whole edge.
+    Per end (p = 1) or edge (p = 2), keyed by edge name: base points and
+    fiber values at the grid ticks, their velocities in t, (p = 2) the
+    displacement's jumps (2, n) at the corners against the edge's
+    one-sided limit, extrapolated by the parabola through three points
+    inside (O(_CORNER_OFFSET^3) if smooth), and the raw displacements
+    (k, n) at the ticks, for the boundary formula.  A node follows its
+    boundary point, but an along-edge jump (a slide) is spread linearly
+    over the interior nodes, whose data the t = 0 slopes carry along: a
+    slid corner stretches the whole edge.
     """
     if bd.p == 1:
-        ends = [bd.end_point(side) for side in (0, 1)]
-        return [(x, z, *np.split(spec.displacement(np.concatenate([x, z])), [1])) for x, z in ends]
+        samples = {}
+        for edge in _EDGES[:2]:
+            x, z = bd.end_point(edge.side)
+            d = spec.displacement(np.concatenate([x, z]))
+            samples[edge.name] = (x, z, d[:1], d[1:], d[None])
+        return samples
     axes = grid_axes(bd.domain, resolution)
     samples = {}
     for edge in _EDGES:
@@ -598,7 +562,7 @@ def _edge_samples(bd: _BoundaryData, spec, resolution):
         r, k, (lo, hi) = axes[run], len(axes[run]), bd.domain[run]
         eps = _CORNER_OFFSET * (hi - lo) * np.arange(1.0, 4.0)
         x, z = bd.points(edge, np.concatenate([r, lo + eps, hi - eps]))
-        d = _displacements(spec, x, z)
+        d = np.array([spec.displacement(np.concatenate([xk, zk])) for xk, zk in zip(x, z)])
         limits = 3.0 * d[[k, k + 3]] - 3.0 * d[[k + 1, k + 4]] + d[[k + 2, k + 5]]
         jumps = d[[0, k - 1]] - limits
         u = np.linspace(0.0, 1.0, k)
@@ -607,7 +571,7 @@ def _edge_samples(bd: _BoundaryData, spec, resolution):
         vx = d[:k, :2].copy()
         vx[:, run] += shift
         vz = d[:k, 2:] + bd.slopes(edge, r)[..., run] * shift[:, None]
-        samples[edge.name] = (x[:k], z[:k], vx, vz, jumps)
+        samples[edge.name] = (x[:k], z[:k], vx, vz, jumps, d[:k])
     return samples
 
 
@@ -617,37 +581,83 @@ def _corner_tear(samples) -> bool:
     velocity sampled on the four edges."""
     torn, size = 0.0, 0.0
     for edge in _EDGES:
-        _, _, vx, vz, jumps = samples[edge.name]
+        _, _, vx, vz, jumps, _ = samples[edge.name]
         size = max(size, np.max(np.abs(vx)), np.max(np.abs(vz)))
         torn = max(torn, np.max(np.abs(jumps[:, edge.normal_axis])))
     return torn > _TEAR_TOL * size
 
 
-class _OracleLevel(NamedTuple):
-    """One grid of the oracle: the boundary motion sampled on it
-    (:func:`_edge_samples`), the base values that every deformed re-solve
-    starts from, and the SuperLU factor of L's interior Hessian at those
-    values, which the re-solves keep as their chord factor."""
+class _Level(NamedTuple):
+    """One grid of a base: the solved graph, its action, the formula's
+    momenta (:func:`_level`) and the re-solves' shared Hessian factor."""
 
-    samples: dict
-    values: np.ndarray
+    graph: GridGraph
+    A: float
+    ends: list
     factor: object
 
 
-def _oracle_level(L, bd: _BoundaryData, spec, base: GridGraph) -> _OracleLevel:
-    """The level on ``base``'s grid; its factor is None where the Hessian is singular."""
+def _levels(L, base: GridGraph, bd: _BoundaryData) -> list:
+    """The base and up to two mesh-halved solves of its problem, finest first.
+
+    The oracle re-solves on the first two, which carry a factor; the
+    boundary formula, whose bias (one-sided slopes of the discrete solve,
+    with corner pollution) needs two extrapolation levels to come out
+    below the oracle's noise, reads all three.  Coarse data are the
+    user's callable, else the base nodes the coarser grid keeps.
+    """
     _require_dual(L)
-    cells = _CellScheme(L, base.domain, base.resolution)
-    factor = _factorize(cells, base.values, _SolveCounters())
-    return _OracleLevel(_edge_samples(bd, spec, base.resolution), base.values, factor)
+    graphs = [base]
+    for stride in (2, 4):
+        res = halved_resolution(graphs[-1].resolution)
+        if res is None:
+            break
+        data = bd.dirichlet
+        if data is None:
+            data = base.values[(slice(None, None, stride),) * base.p]
+        graphs.append(solve_dirichlet(L, data, base.domain, res))
+    return [_level(L, graph, factored=k < 2) for k, graph in enumerate(graphs)]
 
 
-def _deformed_action(L, level: _OracleLevel, domain, t):
-    """The re-solved action at offset t, and the re-solve's ``GridGraph.info``."""
-    resolution = level.values.shape[:-1]
-    L_t, ring, domain_t = _deformed_problem(L, level.samples, domain, resolution, t)
+def _level(L, graph: GridGraph, factored=False) -> _Level:
+    """The level of a critical graph.  Its ``ends`` hold, per end or edge in
+    the order of :func:`_edge_samples`: the outward sign, the base normal's
+    axis, (dL/dq, L, q) at each grid tick and the quadrature along the edge.
+    ``factored`` adds the SuperLU factor of L's interior Hessian at the
+    graph's values (None where singular), the re-solves' chord factor.
+    Raises :class:`NotCritical` off shell, where the formula is invalid.
+    """
+    A = action(L, graph).value
+    res = float(np.max(np.abs(el_residual(L, graph))))
+    if res > 1e-10 * (1.0 + abs(A)):
+        raise NotCritical(
+            f"graph residual {res:.3e} exceeds 1e-10*(1+|A|); formula is off-shell"
+        )
+    bd = _BoundaryData(graph)
+    ends = []
+    for edge in _EDGES[: 2 * graph.p]:
+        if graph.p == 1:
+            x, z = bd.end_point(edge.side)
+            x, z, q, quadrature = x[None], z[None], bd.end_slopes[edge.side][None], lambda v: v[0]
+        else:
+            r = graph.axes[edge.run_axis]
+            (x, z), q = bd.points(edge, r), bd.slopes(edge, r)
+            quadrature = functools.partial(_simpson, h=graph.steps[edge.run_axis])
+        nodes = [(grad_q(L, *args), L(*args), args[2]) for args in zip(x, z, q)]
+        ends.append((2.0 * edge.side - 1.0, edge.normal_axis, nodes, quadrature))
+    factor = None
+    if factored:
+        factor = _factorize(_CellScheme(L, graph.domain, graph.resolution), graph.values, _SolveCounters())
+    return _Level(graph, A, ends, factor)
+
+
+def _deformed_action(L, level: _Level, samples, t):
+    """The re-solved action at offset t on the level's grid, and the
+    re-solve's ``GridGraph.info``; ``samples`` are the motion's on that grid."""
+    domain, resolution = level.graph.domain, level.graph.resolution
+    L_t, ring, domain_t = _deformed_problem(L, samples, domain, resolution, t)
     bvals = _boundary_array(L_t, ring, domain_t, resolution)  # finite, as solve_dirichlet asks
-    graph = _solve(L_t, bvals, domain_t, resolution, level.values, factor=level.factor)
+    graph = _solve(L_t, bvals, domain_t, resolution, level.graph.values, factor=level.factor)
     return action(L_t, graph).value, graph.info
 
 
@@ -661,7 +671,7 @@ def _deformed_problem(L, samples, domain, resolution, t):
     ring = np.zeros((*resolution, L.codim))
     if L.p == 1:
         ends = []
-        for side, (x, z, vx, vz) in enumerate(samples):
+        for side, (x, z, vx, vz, _) in enumerate(samples.values()):
             ends.append(x[0] + t * vx[0])
             ring[(0, -1)[side]] = z + t * vz
         if not ends[0] < ends[1]:
@@ -669,7 +679,7 @@ def _deformed_problem(L, samples, domain, resolution, t):
         return L, ring, (tuple(ends),)
     curves = {}
     for edge in _EDGES:
-        x, z, vx, vz, _ = samples[edge.name]
+        x, z, vx, vz, *_ = samples[edge.name]
         curves[edge.name] = x + t * vx
         if np.any(np.diff(curves[edge.name][:, edge.run_axis]) <= 0.0):
             raise ChartExit(f"deformed {edge.name} edge is not a graph over its axis")

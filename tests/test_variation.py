@@ -95,20 +95,6 @@ def test_torn_corner_reads_inconclusive(res):
         assert not va._corner_tear(va._edge_samples(bd, spec, base.resolution))
 
 
-def test_formula_pairs_one_momenta_pass_with_several_fields():
-    # the momenta of a curved graph, taken once, give each field's value
-    # exactly as a call per field does
-    base = solve_dirichlet(L3, lambda x: x[0] * x[1], DOM, 9)
-    psi = va.random_intensity(np.random.default_rng(1), 3)
-    fields = [
-        va.DeformationSpec(direction=va.frame_field(L3, va.graph_slopes_fn(base)), intensity=psi),
-        va.DeformationSpec(direction=lambda m: np.array([0.3, -0.2, 1.0]), intensity=psi),
-    ]
-    both = va.first_variation_boundary(L3, base, fields)
-    assert both == [va.first_variation_boundary(L3, base, s) for s in fields]
-    assert both[0] != both[1]
-
-
 def test_deformed_problem_is_the_box_at_t_zero(flat_base):
     # at t = 0 the pulled-back Lagrangian has the original integrand and the
     # ring is the base's; the re-solve gives the base action
@@ -116,8 +102,8 @@ def test_deformed_problem_is_the_box_at_t_zero(flat_base):
     samples = va._edge_samples(va._BoundaryData(flat_base, flat), spec, (9, 9))
     L_t, ring, domain_t = va._deformed_problem(L3, samples, DOM, (9, 9), 0.0)
     assert domain_t == DOM and ring.shape == (9, 9, 1) and not np.any(ring)
-    level = va._oracle_level(L3, va._BoundaryData(flat_base, flat), spec, solve_dirichlet(L3, flat, DOM, 9))
-    value, info = va._deformed_action(L3, level, DOM, 0.0)
+    level = va._level(L3, solve_dirichlet(L3, flat, DOM, 9), factored=True)
+    value, info = va._deformed_action(L3, level, samples, 0.0)
     assert value == pytest.approx(1.0, abs=1e-14)
     assert info["iterations"] == 1 and info["factorizations"] == 0
 
@@ -471,12 +457,130 @@ def test_poor_shared_factor_is_refactored_and_counted(scherk_base):
         direction=va.frame_field(L3, va.graph_slopes_fn(scherk_base)),
         intensity=va.random_intensity(np.random.default_rng(12), 3),
     )
-    good = va._oracle_level(L3, va._BoundaryData(scherk_base, _scherk), spec, scherk_base)
+    samples = va._edge_samples(va._BoundaryData(scherk_base, _scherk), spec, scherk_base.resolution)
+    good = va._level(L3, scherk_base, factored=True)
     cells = extremal._CellScheme(lag.dirichlet(3, 2), domain, scherk_base.resolution)
     poor = good._replace(factor=extremal._factorize(cells, scherk_base.values, extremal._SolveCounters()))
     t = 1e-3
-    want, good_info = va._deformed_action(L3, good, domain, t)
-    got, poor_info = va._deformed_action(L3, poor, domain, t)
+    want, good_info = va._deformed_action(L3, good, samples, t)
+    got, poor_info = va._deformed_action(L3, poor, samples, t)
     assert good_info["factorizations"] == 0
     assert poor_info["converged"] and poor_info["factorizations"] >= 1
     assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+
+def test_chart_exit_row_reads_the_extrapolated_formula(scherk_base):
+    # a squeeze that exits the chart at every halving of the default step
+    # reads the same formula value as the same field on a step too small to
+    # exit: the value extrapolated over the base's levels, not one grid's
+    def squeeze(m):
+        return np.array([-1e7 * m[0], 0.0, 0.0])
+
+    specs = [
+        ("exit", va.DeformationSpec(direction=squeeze)),
+        ("small", va.DeformationSpec(direction=squeeze, step=1e-9)),
+    ]
+    exit_row, small_row = va.normality_scan(L3, scherk_base, specs, boundary_data=_scherk)
+    assert exit_row.report.diagnostics["reason"] == "chart-exit"
+    assert small_row.report.diagnostics["halvings"] == 0
+    assert exit_row.report.boundary_formula_value == small_row.report.boundary_formula_value
+
+
+def test_scan_solves_and_factors_each_level_once(scherk_base, monkeypatch):
+    # three fields on one base: the coarse levels are solved and factored
+    # once for the whole scan, and each row reads as it does scanned alone
+    slopes = va.graph_slopes_fn(scherk_base)
+    psi = va.random_intensity(np.random.default_rng(13), 3)
+    candidates = [
+        (name, va.DeformationSpec(direction=field, intensity=psi))
+        for name, field in (
+            ("frame", va.frame_field(L3, slopes)),
+            ("tangent", va.tangent_field(3, 2, slopes, j=1)),
+            ("vertical", lambda m: np.array([0.0, 0.0, 1.0])),
+        )
+    ]
+    alone = [va.normality_scan(L3, scherk_base, [c], boundary_data=_scherk)[0] for c in candidates]
+    calls = {"solve_dirichlet": 0, "_factorize": 0}
+
+    def counted(name):
+        fn = getattr(va, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(va, name, counted(name))
+    rows = va.normality_scan(L3, scherk_base, candidates, boundary_data=_scherk)
+    assert calls == {"solve_dirichlet": 2, "_factorize": 2}
+    for row, single in zip(rows, alone):
+        assert row == single
+
+
+def _square(x):
+    return np.array([x[0] ** 2])
+
+
+@pytest.mark.parametrize(
+    "bc, domain, compatible",
+    [(_square, DOM, False), (_scherk, ((-0.5, 0.5), (-0.5, 0.5)), True)],
+    ids=["x1**2", "scherk"],
+)
+def test_symmetry_truths_on_area3(bc, domain, compatible):
+    # area3 is invariant under translations and rotations and scales as
+    # lambda^2 under dilations, on any extremal: with psi = 1, dA/dt is 0
+    # for a Killing field and 2 A for the dilation.  The translation and the
+    # dilation are symmetries of the discrete problem too; the base-fiber
+    # rotation is met at O(h^4).
+    base = solve_dirichlet(L3, bc, domain, 33)
+    fields = (
+        ("0;0;1", lambda m: np.array([0.0, 0.0, 1.0])),
+        ("-x3;0;x1", lambda m: np.array([-m[2], 0.0, m[0]])),
+        ("x1;x2;x3", lambda m: np.asarray(m, dtype=float)),
+    )
+    specs = [(name, va.DeformationSpec(direction=f)) for name, f in fields]
+    rows = va.normality_scan(L3, base, specs, boundary_data=bc)
+    translation, rotation, dilation = (row.report for row in rows)
+    # on x1**2 the translated re-solves land on the base's action bit for
+    # bit; on Scherk they land within Newton's tolerance
+    if compatible:
+        assert abs(translation.dA_dt) <= 1e-12
+    else:
+        assert translation.dA_dt == 0.0
+    assert abs(rotation.dA_dt) <= 9e-8
+    assert translation.classification == rotation.classification == "normal"
+    # the oracle differences Richardson-extrapolated actions
+    A_ext = (4.0 * base.info["action"] - solve_dirichlet(L3, bc, domain, 17).info["action"]) / 3.0
+    assert abs(dilation.dA_dt - 2.0 * A_ext) <= 2e-12
+    # the boundary formula, as a measurement: it meets every truth on
+    # corner-compatible data, and misses the translation on x1**2 by far
+    # more than criterion 6's budget (r^2 log r corner terms)
+    gaps = [
+        abs(r.boundary_formula_value - r.dA_dt) / va.formula_budget(r.dA_dt, r.A0)
+        for r in (translation, rotation, dilation)
+    ]
+    if compatible:
+        assert max(gaps) <= 1.0
+    else:
+        assert gaps[0] > 100.0
+
+
+def test_codim2_rotations_read_normal():
+    # gram(4,2) is invariant under rotations of R^4: base-fiber, fiber-fiber
+    # and base-base rotations all read normal on a curved extremal
+    G = lag.area_graph_gram(4, 2)
+
+    def bc(x):
+        return np.array([x[0] ** 2, x[0] * x[1]])
+
+    base = solve_dirichlet(G, bc, DOM, 33)
+    fields = (
+        ("-x3;0;x1;0", lambda m: np.array([-m[2], 0.0, m[0], 0.0])),
+        ("0;0;-x4;x3", lambda m: np.array([0.0, 0.0, -m[3], m[2]])),
+        ("-x2;x1;0;0", lambda m: np.array([-m[1], m[0], 0.0, 0.0])),
+    )
+    specs = [(name, va.DeformationSpec(direction=f)) for name, f in fields]
+    rows = va.normality_scan(G, base, specs, boundary_data=bc)
+    assert [row.report.classification for row in rows] == ["normal"] * 3
