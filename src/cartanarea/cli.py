@@ -277,7 +277,7 @@ def _build_field(kind, L, graph):
         )
     names = [f"x{i + 1}" for i in range(L.n)]
     fns = [compile_expression(text, names) for text in parts]
-    return lambda m: np.array([fn(list(m)) for fn in fns])
+    return lambda m: np.array(np.broadcast_arrays(*(fn(list(m)) for fn in fns)))
 
 
 def _build_psi(text, L, dom, seed):

@@ -740,12 +740,10 @@ def _boundary_array(L, boundary_data, domain, resolution):
     return bvals
 
 
-def _transfinite(bvals, domain, resolution):
+def _transfinite(bvals, resolution):
     if len(resolution) == 1:
-        r = resolution[0]
-        t = np.linspace(0.0, 1.0, r)[:, None]
+        t = np.linspace(0.0, 1.0, resolution[0])[:, None]
         return (1.0 - t) * bvals[0] + t * bvals[-1]
-    (a1, b1), (a2, b2) = domain
     r1, r2 = resolution
     u = np.linspace(0.0, 1.0, r1)[:, None, None]
     v = np.linspace(0.0, 1.0, r2)[None, :, None]
@@ -768,7 +766,7 @@ def _harmonic_start(L, bvals, domain, resolution, tolerance_factor, counters):
     """The discrete harmonic extension of the ring data: ``dirichlet(n, p)`` is of degree
     two, so one Newton step from the transfinite lift is exact (SPD on finite data).
     The step is skipped where Newton's own test finds the lift converged (affine data)."""
-    values = _transfinite(bvals, domain, resolution)
+    values = _transfinite(bvals, resolution)
     mask = boundary_mask(resolution)
     values[mask] = bvals[mask]
     cells = _CellScheme(_lag.dirichlet(L.n, L.p), domain, resolution)

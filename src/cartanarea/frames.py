@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import DegenerateFrameWarning, DomainError, NotPositiveDefinite
 from .grassmann import GrassmannElement
-from .lagrangian import HomogenizedLagrangian, LagrangianField, grad_q, grad_xi
+# grad_q is not called here; tracers patch it by name.
+from .lagrangian import HomogenizedLagrangian, LagrangianField, _first_derivative, grad_q, grad_xi  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -65,25 +66,8 @@ def cartan_frame(L: LagrangianField, elem: GrassmannElement, normalize: bool = F
     the degenerate direction is still usable.
     """
     _check_dims(L, elem)
-    x, z = _split_base(elem)
-    q = elem.slopes
-    m, p, n = L.codim, L.p, L.n
-    momenta = grad_q(L, x, z, q)
-    value = L(x, z, q)
-    vectors = np.zeros((m, n))
-    degenerate = []
-    for k in range(m):
-        diag = -value + float(q[k] @ momenta[k])
-        vectors[k, :p] = momenta[k]
-        vectors[k, p + k] = diag
-        if abs(diag) < 1e-12 * abs(value):
-            degenerate.append(k)
-    if degenerate:
-        warnings.warn(
-            f"frame diagonal vanished at rows {tuple(degenerate)} (L={value:.3e})",
-            DegenerateFrameWarning,
-            stacklevel=2,
-        )
+    value, momenta = _first_derivative(L, *_split_base(elem), elem.slopes, 2)
+    vectors, degenerate = _closed_form(momenta, value, elem.slopes)
     if normalize:
         norms = np.linalg.norm(vectors, axis=1)
         safe = np.where(norms > 0.0, norms, 1.0)
@@ -92,7 +76,7 @@ def cartan_frame(L: LagrangianField, elem: GrassmannElement, normalize: bool = F
         vectors=vectors,
         at=elem,
         lagrangian_name=L.name,
-        degenerate=tuple(degenerate),
+        degenerate=tuple(np.flatnonzero(degenerate).tolist()),
     )
 
 
@@ -113,11 +97,9 @@ def variational_frame(L: LagrangianField, elem: GrassmannElement) -> NormalFrame
     flagged and warned about; all rows are then listed as degenerate.
     """
     _check_dims(L, elem)
-    x, z = _split_base(elem)
     q = elem.slopes
     m, p = L.codim, L.p
-    momenta = grad_q(L, x, z, q)
-    value = L(x, z, q)
+    value, momenta = _first_derivative(L, *_split_base(elem), q, 2)
     flux = boundary_flux(momenta, value, q, np.eye(L.n))
     _, _, vh = np.linalg.svd(flux)
     vectors = vh[p:]
@@ -153,9 +135,8 @@ def boundary_residual_of_field(L: LagrangianField, elem: GrassmannElement, X) ->
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2) or X.shape[-1] != L.n:
         raise ValueError(f"X must be a vector of length {L.n} or a stack of them, got {X.shape}")
-    x, z = _split_base(elem)
-    q = elem.slopes
-    return boundary_flux(grad_q(L, x, z, q), L(x, z, q), q, X.T).T
+    value, momenta = _first_derivative(L, *_split_base(elem), elem.slopes, 2)
+    return boundary_flux(momenta, value, elem.slopes, X.T).T
 
 
 def boundary_flux(momenta, value, q, X) -> np.ndarray:
@@ -164,10 +145,37 @@ def boundary_flux(momenta, value, q, X) -> np.ndarray:
     ``value`` is L at the same slopes q.  X is one vector of length n, or
     an (n, k) array whose columns are vectors, which gives a (p, k) array;
     with X = I_n the result is the flux map [L I_p - M^T q | M^T].
+    Elements may also be stacked on leading axes: momenta and q (..., n-p, p),
+    ``value`` (...) and one vector per element, X (..., n), give (..., p),
+    equal bit for bit to one call per element (batched ``matmul``).
     """
-    p = momenta.shape[1]
-    df_dt = X[p:] - np.asarray(q) @ X[:p]
-    return momenta.T @ df_dt + value * X[:p]
+    p = momenta.shape[-1]
+    if momenta.ndim == 2:
+        df_dt = X[p:] - np.asarray(q) @ X[:p]
+        return momenta.T @ df_dt + value * X[:p]
+    X = X[..., None]
+    df_dt = X[..., p:, :] - q @ X[..., :p, :]
+    return (np.swapaxes(momenta, -1, -2) @ df_dt)[..., 0] + value[..., None] * X[..., :p, 0]
+
+
+def _closed_form(momenta, value, q):
+    """The closed-form vectors (..., n-p, n) of elements stacked on leading
+    axes (momenta and q (..., n-p, p), L ``value`` (...)), and a mask
+    (..., n-p) of the rows whose energy entry -L + q^k . M_k vanishes,
+    which are warned about.  Batched ``matmul`` keeps one element's bits."""
+    m, p = momenta.shape[-2:]
+    value = np.asarray(value)
+    energy = -value[..., None] + (q[..., None, :] @ momenta[..., :, None])[..., 0, 0]
+    vectors = np.zeros((*energy.shape, p + m))
+    vectors[..., :p] = momenta
+    vectors.reshape(*energy.shape[:-1], -1)[..., p :: p + m + 1] = energy  # entry p+k of row k
+    degenerate = np.abs(energy) < 1e-12 * np.abs(value)[..., None]
+    if degenerate.any():
+        rows = tuple(np.flatnonzero(degenerate.reshape(-1, m).any(axis=0)).tolist())
+        at = tuple(np.argwhere(degenerate)[0][:-1])
+        message = f"frame diagonal vanished at rows {rows} (L={value[at]:.3e})"
+        warnings.warn(message, DegenerateFrameWarning, stacklevel=3)
+    return vectors, degenerate
 
 
 def normal_from_homogenized(F: HomogenizedLagrangian, x, xi) -> np.ndarray:

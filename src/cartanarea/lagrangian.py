@@ -81,61 +81,17 @@ class MinkowskiReport:
 
 def grad_q(L: LagrangianField, x, z, q) -> np.ndarray:
     """dL/dq as an (n-p, p) array."""
-    x, z, q = _coerce_args(L, x, z, q)
-    m, p = L.codim, L.p
-    with np.errstate(all="ignore"):
-        if L.supports_dual:
-            seeded = _seeded(q)
-            rows = [seeded[i * p : (i + 1) * p] for i in range(m)]
-            out = _dual_part(L.func(list(x), list(z), rows), q.shape)
-        else:
-            out = np.empty((m, p))
-            for i in range(m):
-                for j in range(p):
-                    out[i, j] = _fd_derivative(
-                        lambda v, i=i, j=j: _eval_replaced(L, x, z, q, (i, j), v), q[i, j]
-                    )
-    _require_finite(out, "dL/dq")
-    return out
+    return _first_derivative(L, *_coerce_args(L, x, z, q), 2)[1]
 
 
 def grad_z(L: LagrangianField, x, z, q) -> np.ndarray:
     """dL/dz as a vector of length n-p."""
-    x, z, q = _coerce_args(L, x, z, q)
-    m = L.codim
-    with np.errstate(all="ignore"):
-        if L.supports_dual:
-            out = _dual_part(L.func(list(x), _seeded(z), [list(r) for r in q]), z.shape)
-        else:
-            out = np.empty(m)
-            for i in range(m):
-                def f(v, i=i):
-                    zz = z.copy()
-                    zz[i] = v
-                    return L(x, zz, q)
-
-                out[i] = _fd_derivative(f, z[i])
-    _require_finite(out, "dL/dz")
-    return out
+    return _first_derivative(L, *_coerce_args(L, x, z, q), 1)[1]
 
 
 def grad_x(L: LagrangianField, x, z, q) -> np.ndarray:
     """dL/dx as a vector of length p."""
-    x, z, q = _coerce_args(L, x, z, q)
-    with np.errstate(all="ignore"):
-        if L.supports_dual:
-            out = _dual_part(L.func(_seeded(x), list(z), [list(r) for r in q]), x.shape)
-        else:
-            out = np.empty(L.p)
-            for j in range(L.p):
-                def f(v, j=j):
-                    xx = x.copy()
-                    xx[j] = v
-                    return L(xx, z, q)
-
-                out[j] = _fd_derivative(f, x[j])
-    _require_finite(out, "dL/dx")
-    return out
+    return _first_derivative(L, *_coerce_args(L, x, z, q), 0)[1]
 
 
 def homogenize(L: LagrangianField) -> HomogenizedLagrangian:
@@ -415,14 +371,40 @@ def _plain_list(xi, n):
     return list(xi)
 
 
-def _seeded(values):
-    """Flat list of duals: entry k of ``values`` seeded with the unit vector e_k.
+def _first_derivative(L, x, z, q, arg):
+    """L and its derivative in one argument (0: x, 1: z, 2: q) at points.
 
-    One evaluation on these duals carries the whole gradient in its dual
-    part, which :func:`_dual_part` reads back.
+    ``x``, ``z`` and ``q`` are (p, ...), (n-p, ...) and (n-p, p, ...)
+    arrays whose trailing axes index points (none for one point).  A dual
+    L is evaluated once, each entry of the argument seeded with its own
+    unit vector; an opaque L is differenced point by point.  Returns L at
+    the points and the derivative, shaped like the argument.
     """
-    eye = np.eye(values.size)
-    return [Dual(v, e) for v, e in zip(values.ravel().tolist(), eye)]
+    args = (x, z, q)
+    points = x.shape[1:]
+    flat = args[arg].reshape(-1, *points)
+    size, p = len(flat), L.p
+    with np.errstate(all="ignore"):
+        if L.supports_dual:
+            eye = np.eye(size).reshape(size, size, *(1,) * len(points))
+            seeded = [Dual(v, e) for v, e in zip(list(flat) if points else flat.tolist(), eye)]
+            rows = [seeded[i * p : (i + 1) * p] for i in range(L.codim)] if arg == 2 else [list(r) for r in q]
+            result = L.func(seeded if arg == 0 else list(x), seeded if arg == 1 else list(z), rows)
+            value, out = dual.value(result), _dual_part(result, flat.shape)
+        else:
+            value, out = np.empty(points), np.empty(flat.shape)
+            for idx in np.ndindex(*points):
+                at = [a[(..., *idx)] for a in args]
+                value[idx] = L(*at)
+                for k in range(size):
+                    def f(v, k=k):
+                        moved = at[arg].copy()
+                        moved.flat[k] = v
+                        return L(*(moved if i == arg else a for i, a in enumerate(at)))
+
+                    out[(k, *idx)] = _fd_derivative(f, flat[(k, *idx)])
+    _require_finite(out, f"dL/d{'xzq'[arg]}")
+    return value, out.reshape(args[arg].shape)
 
 
 def _dual_part(result, shape=()):
@@ -431,7 +413,7 @@ def _dual_part(result, shape=()):
         raise NonFinite("Lagrangian evaluated non-finite during differentiation")
     out = np.zeros(shape)
     if isinstance(result, Dual):
-        out.flat = dual.value(result.du)
+        out[...] = dual.value(result.du)
     return out
 
 
@@ -441,12 +423,6 @@ def _fd_derivative(f, v):
     d_h = (f(v + h) - f(v - h)) / (2.0 * h)
     d_h2 = (f(v + h / 2.0) - f(v - h / 2.0)) / h
     return (4.0 * d_h2 - d_h) / 3.0
-
-
-def _eval_replaced(L, x, z, q, ij, v):
-    qq = q.copy()
-    qq[ij] = v
-    return L(x, z, qq)
 
 
 def _require_finite(arr, what):

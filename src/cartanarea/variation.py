@@ -28,9 +28,12 @@ slopes, interpolates them along each edge by local cubics that are exact
 at the nodes, and serves the graph-slope lookup of the fields.  Each
 report samples the boundary motion once per grid (:func:`_edge_samples`),
 and that one sample feeds the re-fit, the corner-tear check and the
-boundary formula.  A corner whose displacement leaves a neighbouring
-edge's limit normal to that edge tears off it; no re-fit closes that gap
-uniquely, so such a row reads ``inconclusive`` (``corner-tear``).
+boundary formula.  Fields, intensities and slope lookups take the points
+as the columns of an (n, k) array, coordinate i in row i, as
+``LagrangianField.func`` does, and are called once per edge.  A corner
+whose displacement leaves a neighbouring edge's limit normal to that
+edge tears off it; no re-fit closes that gap uniquely, so such a row
+reads ``inconclusive`` (``corner-tear``).
 
 A frame, tangent or Euclidean-normal field built from the solved graph's
 own slopes carries their O(h^2) error, so a field that is normal in the
@@ -65,9 +68,9 @@ from .extremal import (
     node_slopes,
     solve_dirichlet,
 )
-from .frames import boundary_flux, cartan_frame
-from .grassmann import GrassmannElement
-from .lagrangian import LagrangianField, grad_q
+# cartan_frame and grad_q are not called here; tracers patch them by name.
+from .frames import _closed_form, boundary_flux, cartan_frame  # noqa: F401
+from .lagrangian import LagrangianField, _first_derivative, grad_q  # noqa: F401
 
 TOL_ABS = 1e-8
 TOL_REL = 1e-6
@@ -90,11 +93,13 @@ _TEAR_TOL = 1e-7
 class DeformationSpec:
     """A boundary deformation: direction field, intensity, and t-step.
 
-    ``direction`` maps a boundary point of the graph (a vector in R^n)
-    to a vector in R^n; ``intensity`` is a scalar function of the same
-    point (or a constant).  ``step`` is the finite-difference stencil
-    half-width in t, finite and positive; None picks DEFAULT_STEP_FACTOR
-    times the domain diameter.
+    Both callables take boundary points of the graph as the columns of an
+    (n, k) array, coordinate i in row i, as ``LagrangianField.func`` takes
+    its arguments.  ``direction`` returns the vectors as an (n, k) array,
+    or one n-vector for every point; ``intensity`` returns k values, or is
+    a constant.  ``step`` is the finite-difference stencil half-width in
+    t, finite and positive; None picks DEFAULT_STEP_FACTOR times the
+    domain diameter.
     """
 
     direction: Callable
@@ -106,13 +111,19 @@ class DeformationSpec:
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"the t-step must be finite and positive, got {self.step}")
 
-    def psi(self, point) -> float:
-        if callable(self.intensity):
-            return float(self.intensity(point))
-        return float(self.intensity)
-
-    def displacement(self, point) -> np.ndarray:
-        return self.psi(point) * np.asarray(self.direction(point), dtype=float)
+    def displacements(self, points) -> np.ndarray:
+        """psi * X at the columns of ``points`` (n, k), as an (n, k) array."""
+        n, k = points.shape
+        direction = np.asarray(self.direction(points), dtype=float)
+        direction = direction[:, None] if direction.shape == (n,) else direction
+        psi = np.asarray(self.intensity(points) if callable(self.intensity) else self.intensity, dtype=float)
+        try:
+            return np.broadcast_to(psi, (k,)) * np.broadcast_to(direction, (n, k))
+        except ValueError:
+            raise ValueError(
+                f"for points (n, k) = {(n, k)} the direction gave shape {direction.shape} and the "
+                f"intensity {psi.shape}; they must broadcast to (n, k) and (k,)"
+            ) from None
 
 
 @dataclass
@@ -184,13 +195,7 @@ def normality_scan(L, graph: GridGraph, candidate_fields, boundary_data=None) ->
             report = _variation_from_base(L, bd, levels, spec)
             rows.append(ScanRow(name=name, report=report))
         except (NoConvergence, ChartExit, NonFinite, SingularJacobian) as exc:
-            rows.append(
-                ScanRow(
-                    name=name,
-                    report=None,
-                    note=f"inconclusive: {type(exc).__name__}: {exc}",
-                )
-            )
+            rows.append(ScanRow(name=name, report=None, note=f"inconclusive: {type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -199,24 +204,28 @@ def normality_scan(L, graph: GridGraph, candidate_fields, boundary_data=None) ->
 
 
 def graph_slopes_fn(graph: GridGraph) -> Callable:
-    """Boundary slope lookup from a solved graph (one-sided stencils,
-    cubic interpolation along each edge)."""
+    """Boundary slope lookup from a solved graph (one-sided stencils, cubic
+    interpolation along each edge): the slopes (n-p, p, k) on the nearest
+    edge of points (n, k), the shape every ``slopes_fn`` below returns."""
     return _BoundaryData(graph)
 
 
 def frame_field(L, slopes_fn: Callable, weights=None) -> Callable:
     """Deformation field valued in the closed-form Cartan frame at each point.
 
-    ``weights`` mixes the n-p frame vectors (default: the first one).
+    ``weights`` mixes the n-p frame vectors (default: the first one).  At
+    the columns of an (n, k) array of points, whose slopes ``slopes_fn``
+    gives as (n-p, p, k), one evaluation of L and dL/dq gives the (n, k)
+    vectors; each column is :func:`cartan_frame`'s at that point.
     """
     w = np.eye(L.codim)[0] if weights is None else np.asarray(weights, dtype=float)
 
-    def field_fn(point):
-        point = np.asarray(point, dtype=float)
-        q = np.asarray(slopes_fn(point), dtype=float)
-        elem = GrassmannElement(n=L.n, p=L.p, slopes=q, base_point=point)
-        fr = cartan_frame(L, elem)
-        return w @ fr.vectors
+    def field_fn(points):
+        q = np.asarray(slopes_fn(points), dtype=float)
+        value, momenta = _first_derivative(L, points[: L.p], points[L.p :], q, 2)
+        lead = [np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (momenta, q)]
+        vectors, _ = _closed_form(lead[0], value, lead[1])
+        return (w @ vectors).T
 
     return _rebuildable(field_fn, slopes_fn, lambda s: frame_field(L, s, weights))
 
@@ -224,9 +233,9 @@ def frame_field(L, slopes_fn: Callable, weights=None) -> Callable:
 def tangent_field(n, p, slopes_fn: Callable, j: int = 0) -> Callable:
     """The j-th graph tangent direction e_j + sum_i q^i_j e_{p+i}."""
 
-    def field_fn(point):
-        q = np.asarray(slopes_fn(np.asarray(point, dtype=float)), dtype=float)
-        v = np.zeros(n)
+    def field_fn(points):
+        q = np.asarray(slopes_fn(points), dtype=float)
+        v = np.zeros((n, q.shape[-1]))
         v[j] = 1.0
         v[p:] = q[:, j]
         return v
@@ -237,12 +246,12 @@ def tangent_field(n, p, slopes_fn: Callable, j: int = 0) -> Callable:
 def euclidean_normal_field(n, p, slopes_fn: Callable, k: int = 0) -> Callable:
     """The k-th Euclidean complement direction (q^k_1..q^k_p, ..., -1, ..)."""
 
-    def field_fn(point):
-        q = np.asarray(slopes_fn(np.asarray(point, dtype=float)), dtype=float)
-        v = np.zeros(n)
-        v[:p] = q[k]
-        v[p + k] = -1.0
-        return v / np.linalg.norm(v)
+    def field_fn(points):
+        q = np.asarray(slopes_fn(points), dtype=float)
+        v = np.zeros((q.shape[-1], n))
+        v[:, :p] = q[k].T
+        v[:, p + k] = -1.0
+        return (v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]).T
 
     return _rebuildable(field_fn, slopes_fn, lambda s: euclidean_normal_field(n, p, s, k))
 
@@ -260,21 +269,22 @@ def _rebuildable(field_fn, slopes_fn, build):
 
 
 def random_intensity(rng, n: int, terms: int = 3) -> Callable:
-    """A smooth random trigonometric intensity on R^n."""
+    """A smooth random trigonometric intensity on R^n, taking points as the
+    columns of an (n, k) array (or one n-vector) and returning k values."""
     amps = rng.uniform(0.3, 1.0, terms)
     waves = rng.uniform(-2.0, 2.0, (terms, n))
     phases = rng.uniform(0.0, 2.0 * math.pi, terms)
     offset = rng.uniform(-0.5, 0.5)
 
-    def psi(point):
-        point = np.asarray(point, dtype=float)
-        return float(offset + np.sum(amps * np.cos(waves @ point + phases)))
+    def psi(points):
+        points = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+        return offset + np.sum(amps * np.cos((waves @ points[..., None])[..., 0] + phases), axis=-1)
 
     return psi
 
 
 def edge_indicator(domain, side: str, rel_tol: float = 1e-9) -> Callable:
-    """Intensity 1 on one box edge, 0 elsewhere.
+    """Intensity 1 on one box edge, 0 elsewhere, at points as the columns of (n, k).
 
     ``side`` is one of xmin, xmax, ymin, ymax (ymin/ymax need p=2);
     any other side raises ValueError.
@@ -287,8 +297,8 @@ def edge_indicator(domain, side: str, rel_tol: float = 1e-9) -> Callable:
     level = lo if side.endswith("min") else hi
     tol = rel_tol * max(1.0, abs(hi - lo))
 
-    def psi(point):
-        return 1.0 if abs(float(point[axis]) - level) <= tol else 0.0
+    def psi(points):
+        return np.where(np.abs(np.asarray(points, dtype=float)[axis] - level) <= tol, 1.0, 0.0)
 
     return psi
 
@@ -353,8 +363,7 @@ def _variation_from_base(L, bd, levels, spec: DeformationSpec) -> VariationRepor
             if halvings > MAX_HALVINGS:
                 return VariationReport(
                     A0=A0,
-                    dA_dt=float("nan"),
-                    dA_dt_order4=float("nan"),
+                    dA_dt=float("nan"), dA_dt_order4=float("nan"),
                     boundary_formula_value=float(bval),
                     classification="inconclusive",
                     diagnostics={"step": h, "halvings": halvings, "reason": "chart-exit", **work},
@@ -415,8 +424,8 @@ def _formula(levels, samples):
     b = []
     for level, motion in zip(levels, samples):
         b.append(0.0)
-        for (nu, axis, nodes, quadrature), (*_, d) in zip(level.ends, motion.values()):
-            b[-1] += quadrature(np.array([nu * boundary_flux(*nd, dk)[axis] for nd, dk in zip(nodes, d)]))
+        for (nu, axis, ticks, quadrature), (*_, d) in zip(level.ends, motion.values()):
+            b[-1] += quadrature(nu * boundary_flux(*ticks, d)[:, axis])
     level1 = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(b, b[1:])] or [b[0]]
     return level1[0] if len(level1) == 1 else (8.0 * level1[0] - level1[1]) / 7.0
 
@@ -472,9 +481,10 @@ class _BoundaryData:
     when one is given, else from the ring values; slopes come from the
     ring of :func:`node_slopes`.  Along an edge both are interpolated by
     the local cubics of :func:`_cubic_table`, exact at the nodes.  Called
-    with one point, the object returns the slopes on the nearest edge
-    (the lookup that :func:`graph_slopes_fn` hands to the fields); the
-    re-fit asks for arrays of run-parameters on a known edge.
+    with points, the columns of an (n, k) array, the object returns the
+    slopes on each point's nearest edge, (n-p, p, k) (the lookup that
+    :func:`graph_slopes_fn` hands to the fields); the re-fit asks for
+    arrays of run-parameters on a known edge.
     """
 
     def __init__(self, graph: GridGraph, boundary_data=None):
@@ -491,13 +501,17 @@ class _BoundaryData:
             ring = edge.ring_indexer(graph.resolution)
             self.tables[edge.name] = (_cubic_table(graph.values[ring]), _cubic_table(slopes[ring]))
 
-    def __call__(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)[: self.p].tolist()
+    def __call__(self, points) -> np.ndarray:
+        x = np.asarray(points, dtype=float)[: self.p]
         if self.p == 1:
             lo, hi = self.domain[0]
-            return self.end_slopes[0 if abs(x[0] - lo) <= abs(x[0] - hi) else 1]
-        edge = min(_EDGES, key=lambda e: abs(x[e.normal_axis] - self.domain[e.normal_axis][e.side]))
-        return self.slopes(edge, x[edge.run_axis])
+            return np.moveaxis(self.end_slopes[(np.abs(x[0] - lo) > np.abs(x[0] - hi)).astype(int)], 0, -1)
+        gaps = [np.abs(x[e.normal_axis] - self.domain[e.normal_axis][e.side]) for e in _EDGES]
+        nearest = np.argmin(gaps, axis=0)  # the first edge on ties
+        out = np.empty((x.shape[1], self.codim, self.p))
+        for k, edge in enumerate(_EDGES):
+            out[nearest == k] = self.slopes(edge, x[edge.run_axis, nearest == k])
+        return np.moveaxis(out, 0, -1)
 
     def slopes(self, edge: _Edge, r) -> np.ndarray:
         """Slopes at run-parameters r of ``edge``, shape (*r.shape, n-p, p)."""
@@ -530,9 +544,8 @@ class _BoundaryData:
         i = np.searchsorted(ticks[1:], r, side="right")
         u = (r - ticks[i]) / self.steps[edge.run_axis]
         coeffs = self.tables[edge.name][which][i]
-        if np.ndim(u) == 0:
-            return coeffs @ np.array((1.0, u, u * u, u * u * u))
-        return np.einsum("k...j,jk->k...", coeffs, np.array([np.ones_like(u), u, u * u, u * u * u]))
+        powers = np.stack([np.ones_like(u), u, u * u, u * u * u], axis=-1)
+        return (coeffs @ powers.reshape(len(u), *(1,) * (coeffs.ndim - 3), 4, 1))[..., 0]
 
 
 def _edge_samples(bd: _BoundaryData, spec, resolution):
@@ -552,7 +565,7 @@ def _edge_samples(bd: _BoundaryData, spec, resolution):
         samples = {}
         for edge in _EDGES[:2]:
             x, z = bd.end_point(edge.side)
-            d = spec.displacement(np.concatenate([x, z]))
+            d = spec.displacements(np.concatenate([x, z])[:, None])[:, 0]
             samples[edge.name] = (x, z, d[:1], d[1:], d[None])
         return samples
     axes = grid_axes(bd.domain, resolution)
@@ -562,7 +575,7 @@ def _edge_samples(bd: _BoundaryData, spec, resolution):
         r, k, (lo, hi) = axes[run], len(axes[run]), bd.domain[run]
         eps = _CORNER_OFFSET * (hi - lo) * np.arange(1.0, 4.0)
         x, z = bd.points(edge, np.concatenate([r, lo + eps, hi - eps]))
-        d = np.array([spec.displacement(np.concatenate([xk, zk])) for xk, zk in zip(x, z)])
+        d = np.ascontiguousarray(spec.displacements(np.concatenate([x.T, z.T])).T)
         limits = 3.0 * d[[k, k + 3]] - 3.0 * d[[k + 1, k + 4]] + d[[k + 2, k + 5]]
         jumps = d[[0, k - 1]] - limits
         u = np.linspace(0.0, 1.0, k)
@@ -622,7 +635,8 @@ def _levels(L, base: GridGraph, bd: _BoundaryData) -> list:
 def _level(L, graph: GridGraph, factored=False) -> _Level:
     """The level of a critical graph.  Its ``ends`` hold, per end or edge in
     the order of :func:`_edge_samples`: the outward sign, the base normal's
-    axis, (dL/dq, L, q) at each grid tick and the quadrature along the edge.
+    axis, (dL/dq, L, q) stacked over the grid ticks on a leading axis, as
+    :func:`boundary_flux` takes them, and the quadrature along the edge.
     ``factored`` adds the SuperLU factor of L's interior Hessian at the
     graph's values (None where singular), the re-solves' chord factor.
     Raises :class:`NotCritical` off shell, where the formula is invalid.
@@ -643,8 +657,9 @@ def _level(L, graph: GridGraph, factored=False) -> _Level:
             r = graph.axes[edge.run_axis]
             (x, z), q = bd.points(edge, r), bd.slopes(edge, r)
             quadrature = functools.partial(_simpson, h=graph.steps[edge.run_axis])
-        nodes = [(grad_q(L, *args), L(*args), args[2]) for args in zip(x, z, q)]
-        ends.append((2.0 * edge.side - 1.0, edge.normal_axis, nodes, quadrature))
+        value, momenta = _first_derivative(L, x.T, z.T, np.moveaxis(q, 0, -1), 2)
+        ticks = (np.ascontiguousarray(np.moveaxis(momenta, -1, 0)), value, q)
+        ends.append((2.0 * edge.side - 1.0, edge.normal_axis, ticks, quadrature))
     factor = None
     if factored:
         factor = _factorize(_CellScheme(L, graph.domain, graph.resolution), graph.values, _SolveCounters())

@@ -311,7 +311,7 @@ def test_harmonic_start_is_one_exact_newton_step(L, bc, domain):
     counters = extremal._SolveCounters()
     start = extremal._harmonic_start(L, bvals, domain, resolution, 1e-10, counters)
     assert (counters.factorizations, counters.linear_solves) == (1, 1)
-    lift = extremal._transfinite(bvals, domain, resolution)
+    lift = extremal._transfinite(bvals, resolution)
     mask = extremal.boundary_mask(resolution)
     lift[mask] = bvals[mask]
     assert np.max(np.abs(lift - start)) > 1e-3

@@ -6,7 +6,7 @@ from cartanarea import extremal
 from cartanarea import variation as va
 from cartanarea.errors import NotCritical
 from cartanarea.extremal import action, make_graph, observed_orders, solve_dirichlet
-from cartanarea.frames import cartan_frame, variational_frame
+from cartanarea.frames import boundary_flux, cartan_frame, variational_frame
 from cartanarea.grassmann import GrassmannElement
 
 DOM = ((0.0, 1.0), (0.0, 1.0))
@@ -53,7 +53,7 @@ def test_flat_edge_slide_grows_area(direction, side, rate):
     # one side slid along its outward normal drags its corners along the
     # neighbouring sides; a dilation about the centre moves every side
     if side is None:
-        spec = va.DeformationSpec(direction=lambda m: np.asarray(m) - np.array([0.5, 0.5, 0.0]))
+        spec = va.DeformationSpec(direction=lambda m: np.asarray(m) - np.array([[0.5], [0.5], [0.0]]))
     else:
         spec = va.DeformationSpec(
             direction=lambda m: np.array(direction),
@@ -166,7 +166,7 @@ def test_normality_scan_empty():
 def test_chart_exit_reports_inconclusive(flat_base):
     # squeezes the domain shut at any step size: every halving fails
     spec = va.DeformationSpec(
-        direction=lambda m: np.array([1e7 * (0.5 - m[0]), 0.0, 0.0]),
+        direction=lambda m: np.outer([1.0, 0.0, 0.0], 1e7 * (0.5 - m[0])),
     )
     rows = va.normality_scan(L3, flat_base, [("squeeze", spec)], boundary_data=flat)
     row = rows[0]
@@ -474,7 +474,7 @@ def test_chart_exit_row_reads_the_extrapolated_formula(scherk_base):
     # reads the same formula value as the same field on a step too small to
     # exit: the value extrapolated over the base's levels, not one grid's
     def squeeze(m):
-        return np.array([-1e7 * m[0], 0.0, 0.0])
+        return np.outer([1.0, 0.0, 0.0], -1e7 * m[0])
 
     specs = [
         ("exit", va.DeformationSpec(direction=squeeze)),
@@ -537,7 +537,7 @@ def test_symmetry_truths_on_area3(bc, domain, compatible):
     base = solve_dirichlet(L3, bc, domain, 33)
     fields = (
         ("0;0;1", lambda m: np.array([0.0, 0.0, 1.0])),
-        ("-x3;0;x1", lambda m: np.array([-m[2], 0.0, m[0]])),
+        ("-x3;0;x1", lambda m: np.array([-m[2], np.zeros_like(m[0]), m[0]])),
         ("x1;x2;x3", lambda m: np.asarray(m, dtype=float)),
     )
     specs = [(name, va.DeformationSpec(direction=f)) for name, f in fields]
@@ -577,10 +577,111 @@ def test_codim2_rotations_read_normal():
 
     base = solve_dirichlet(G, bc, DOM, 33)
     fields = (
-        ("-x3;0;x1;0", lambda m: np.array([-m[2], 0.0, m[0], 0.0])),
-        ("0;0;-x4;x3", lambda m: np.array([0.0, 0.0, -m[3], m[2]])),
-        ("-x2;x1;0;0", lambda m: np.array([-m[1], m[0], 0.0, 0.0])),
+        ("-x3;0;x1;0", lambda m: np.array([-m[2], np.zeros_like(m[0]), m[0], np.zeros_like(m[0])])),
+        ("0;0;-x4;x3", lambda m: np.array([np.zeros_like(m[0]), np.zeros_like(m[0]), -m[3], m[2]])),
+        ("-x2;x1;0;0", lambda m: np.array([-m[1], m[0], np.zeros_like(m[0]), np.zeros_like(m[0])])),
     )
     specs = [(name, va.DeformationSpec(direction=f)) for name, f in fields]
     rows = va.normality_scan(G, base, specs, boundary_data=bc)
     assert [row.report.classification for row in rows] == ["normal"] * 3
+
+
+# ---------------------------------------------------------------------------
+# The array convention: fields and intensities take points as the columns
+# of an (n, k) array
+
+
+def _x1x2(x):
+    return np.array([x[0] * x[1]])
+
+
+def _boundary_points(base, bc):
+    """Grid ticks and random run-parameters on every edge, as (n, k) columns."""
+    bd = va._BoundaryData(base, bc)
+    columns = []
+    for edge in va._EDGES:
+        r = np.concatenate([base.axes[edge.run_axis], np.random.default_rng(1).uniform(0.0, 1.0, 5)])
+        x, z = bd.points(edge, r)
+        columns.append(np.concatenate([x.T, z.T]))
+    return np.concatenate(columns, axis=1)
+
+
+@pytest.mark.parametrize(
+    "L, bc", [(L3, _x1x2), (lag.area_graph_gram(4, 2), _tilted)], ids=["area3-x1x2", "gram4.2-tilted"]
+)
+def test_stacked_fields_equal_their_single_point_values(L, bc):
+    n, p, m = L.n, L.p, L.codim
+    base = solve_dirichlet(L, bc, DOM, 33)
+    slopes = va.graph_slopes_fn(base)
+    points = _boundary_points(base, bc)
+    q = slopes(points)
+    assert q.shape == (m, p, points.shape[1])
+    weights = [None, np.eye(m)[m - 1]]
+    fields = [va.frame_field(L, slopes, weights=w) for w in weights]
+    fields += [va.tangent_field(n, p, slopes, j=p - 1), va.euclidean_normal_field(n, p, slopes)]
+    stacked = [f(points) for f in fields]
+    rng_draws = np.random.default_rng(5)
+    amps, waves = rng_draws.uniform(0.3, 1.0, 3), rng_draws.uniform(-2.0, 2.0, (3, n))
+    phases, offset = rng_draws.uniform(0.0, 2.0 * np.pi, 3), rng_draws.uniform(-0.5, 0.5)
+    psi = va.random_intensity(np.random.default_rng(5), n)(points)
+    edge = va.edge_indicator(DOM, "xmax")(points)
+    assert psi.shape == edge.shape == (points.shape[1],)
+    for k, point in enumerate(points.T):
+        assert np.array_equal(slopes(points[:, k : k + 1])[..., 0], q[..., k])
+        elem = GrassmannElement(n=n, p=p, slopes=q[..., k], base_point=point)
+        vectors = cartan_frame(L, elem).vectors
+        tangent = np.zeros(n)
+        tangent[p - 1], tangent[p:] = 1.0, q[:, p - 1, k]
+        normal = np.zeros(n)
+        normal[:p], normal[p] = q[0, :, k], -1.0
+        want = [vectors[0], np.eye(m)[m - 1] @ vectors, tangent, normal / np.linalg.norm(normal)]
+        for got, single in zip(stacked, want):
+            assert np.array_equal(got[:, k], single)
+        assert psi[k] == offset + np.sum(amps * np.cos(waves @ point + phases))
+        assert edge[k] == (1.0 if abs(point[0] - 1.0) <= 1e-9 else 0.0)
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (3, 1), (5, 3)])
+def test_stacked_boundary_flux_equals_per_element_calls(n, p):
+    rng = np.random.default_rng(n * 10 + p)
+    k = 200
+    momenta, q = rng.normal(size=(k, n - p, p)), rng.normal(size=(k, n - p, p))
+    value, X = rng.uniform(0.5, 2.0, k), rng.normal(size=(k, n))
+    got = boundary_flux(momenta, value, q, X)
+    assert got.shape == (k, p)
+    for i in range(k):
+        assert np.array_equal(got[i], boundary_flux(momenta[i], value[i], q[i], X[i]))
+
+
+def test_opaque_lagrangian_matches_the_dual_one():
+    # finite differences, point by point, against one seeded evaluation
+    weighted = lag.from_expression("(1 + x1*x2 + z1*z1) * sqrt(1 + q1_1*q1_1 + q1_2*q1_2)", 3, 2)
+    rng = np.random.default_rng(3)
+    for L in (L3, weighted):
+        opaque = lag.LagrangianField(n=3, p=2, func=L.func, name="opaque", supports_dual=False)
+        for _ in range(10):
+            x, z, q = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1), rng.uniform(-2, 2, (1, 2))
+            for grad in (lag.grad_x, lag.grad_z, lag.grad_q):
+                assert np.max(np.abs(grad(opaque, x, z, q) - grad(L, x, z, q))) <= 1e-7
+    base = solve_dirichlet(L3, _x1x2, DOM, 17)
+    slopes = va.graph_slopes_fn(base)
+    points = _boundary_points(base, _x1x2)
+    opaque = lag.LagrangianField(n=3, p=2, func=L3.func, name="opaque", supports_dual=False)
+    got, want = va.frame_field(opaque, slopes)(points), va.frame_field(L3, slopes)(points)
+    assert np.max(np.abs(got - want)) <= 1e-7
+
+
+def test_per_point_callables_raise_naming_the_shapes(flat_base):
+    # written for one point, these return their axes in the wrong order on
+    # an (n, k) stack of points
+    points = _boundary_points(flat_base, flat)[:, :5]
+    rotation = va.DeformationSpec(direction=lambda m: np.stack([-m[2], np.zeros_like(m[0]), m[0]], axis=-1))
+    bump = va.DeformationSpec(
+        direction=lambda m: np.array([0.0, 0.0, 1.0]),
+        intensity=lambda m: np.exp(-np.sum(np.asarray(m) ** 2, axis=-1)),
+    )
+    for spec, shape in ((rotation, r"\(5, 3\)"), (bump, r"\(3,\)")):
+        with pytest.raises(ValueError, match=rf"\(n, k\) = \(3, 5\).*{shape}.*\(n, k\) and \(k,\)"):
+            spec.displacements(points)
+        with pytest.raises(ValueError, match=r"must broadcast to \(n, k\) and \(k,\)"):
+            va.first_variation_boundary(L3, flat_base, spec)
