@@ -57,7 +57,7 @@ def main(resolutions):
         # is the discretization floor the oracle extrapolates away.  The
         # re-solves start from sol on its Hessian factor, as in the oracle.
         level = _level(L, sol, factored=True)
-        samples = _edge_samples(_BoundaryData(sol, scherk), spec, sol.resolution)
+        samples = _edge_samples(_BoundaryData(sol, scherk), spec, sol)
         h = 2.5e-4 * np.sqrt(2.0)
         a_plus, _ = _deformed_action(L, level, samples, h)
         a_minus, _ = _deformed_action(L, level, samples, -h)

@@ -18,17 +18,22 @@ A base is solved and factored once per call (:func:`_levels`), and
 :func:`normality_scan` shares it over its rows: its mesh-halved solves,
 the boundary formula's momenta on each grid, and, on the oracle's two
 grids, one SuperLU factor of L's interior Hessian at the base values.
-The deformed problems are O(t) from the base, so each re-solve starts
-from its grid's base values and keeps that factor as its chord factor:
-the chord steps contract by O(t), and the re-solves factor nothing.
+The deformed problems are O(t) from the base, and the pullback keeps
+every re-solve on its base's grid, where the solutions are smooth in t.
+So the re-solves at +-h start from their grid's base values, the one at
++2h from the quadratic in t through the base and the +-h solutions, and
+the one at -2h from the cubic through those and the +2h solution.  Each
+keeps its grid's factor as its chord factor: the chord steps contract
+by O(t), and the re-solves factor nothing.
 
 One boundary sampler per graph (:class:`_BoundaryData`) holds the
 Dirichlet data (the user's callable, else the ring values) and the ring
 slopes, interpolates them along each edge by local cubics that are exact
 at the nodes, and serves the graph-slope lookup of the fields.  Each
 report samples the boundary motion once per grid (:func:`_edge_samples`),
-and that one sample feeds the re-fit, the corner-tear check and the
-boundary formula.  Fields, intensities and slope lookups take the points
+taking the data at the grid ticks from that grid's own ring, and that
+one sample feeds the re-fit, the corner-tear check and the boundary
+formula.  Fields, intensities and slope lookups take the points
 as the columns of an (n, k) array, coordinate i in row i, as
 ``LagrangianField.func`` does, and are called once per edge.  A corner
 whose displacement leaves a neighbouring edge's limit normal to that
@@ -62,8 +67,6 @@ from .extremal import (
     _solve,
     _SolveCounters,
     action,
-    el_residual,
-    grid_axes,
     halved_resolution,
     node_slopes,
     solve_dirichlet,
@@ -87,6 +90,17 @@ FIELD_ORDER_MIN = 1.5
 # _TEAR_TOL of the largest boundary velocity.
 _CORNER_OFFSET = 1e-5
 _TEAR_TOL = 1e-7
+# A level's re-solves in the order they run: the offset in steps h, and
+# the start from the level's solutions u so far, keyed by offset (0: the
+# base).  +-h start from the base, which keeps the central value exactly
+# that of cold re-solves; +2h starts from the quadratic through -h, 0, h
+# (error O(h^3)) and -2h from the cubic through -h, 0, h, 2h (O(h^4)).
+_RESOLVES = (
+    (-1, lambda u: u[0]),
+    (1, lambda u: u[0]),
+    (2, lambda u: 3.0 * u[1] - 3.0 * u[0] + u[-1]),
+    (-2, lambda u: 4.0 * u[-1] - 6.0 * u[0] + 4.0 * u[1] - u[2]),
+)
 
 
 @dataclass
@@ -165,7 +179,7 @@ def first_variation_boundary(L, graph: GridGraph, spec: DeformationSpec) -> floa
     integration keep the formula's bias below the re-solve oracle's.
     Raises :class:`NotCritical` off shell, where the formula is invalid.
     """
-    return _formula([_level(L, graph)], [_edge_samples(_BoundaryData(graph), spec, graph.resolution)])
+    return _formula([_level(L, graph)], [_edge_samples(_BoundaryData(graph), spec, graph)])
 
 
 @dataclass
@@ -314,8 +328,11 @@ def _variation_from_base(L, bd, levels, spec: DeformationSpec) -> VariationRepor
     t-differences, so every deformed action is also computed on a
     mesh-doubled (coarser) grid and Richardson-extrapolated before
     differencing; the diagnostics keep both levels.  Each level's
-    re-solves start from that level's base on its shared Hessian factor
-    (:func:`_levels`).  ``diagnostics["factorizations"]`` and
+    re-solves run on its shared Hessian factor (:func:`_levels`) in the
+    order of ``_RESOLVES``: those at +-h start from the level's base, so
+    ``dA_dt`` comes from the same solves as with every start at the base;
+    those at +-2h start from the polynomial in t through the level's
+    solutions so far.  ``diagnostics["factorizations"]`` and
     ``["newton_iterations"]`` sum the re-solves' own work and count the
     shared factors too; the base solves are not in them.
 
@@ -333,7 +350,7 @@ def _variation_from_base(L, bd, levels, spec: DeformationSpec) -> VariationRepor
     """
     base, A0 = levels[0].graph, levels[0].A
     domain, resolution = base.domain, base.resolution
-    sample = lambda s: [_edge_samples(bd, s, lv.graph.resolution) for lv in levels]
+    sample = lambda s: [_edge_samples(bd, s, lv.graph) for lv in levels]
     samples = sample(spec)
     bval = _formula(levels, samples)
     coarse_res = levels[1].graph.resolution if len(levels) > 1 else None
@@ -348,10 +365,13 @@ def _variation_from_base(L, bd, levels, spec: DeformationSpec) -> VariationRepor
     while actions is None:
         try:
             actions = {}
-            for t in (-2.0 * h, -h, h, 2.0 * h):
+            solved = [{0: level.graph.values} for level in levels[:2]]
+            for k, start in _RESOLVES:
+                t = k * h
                 a = []
-                for level, motion in zip(levels[:2], samples):
-                    value, info = _deformed_action(L, level, motion, t)
+                for level, motion, u in zip(levels[:2], samples, solved):
+                    value, info = _deformed_action(L, level, motion, t, start(u))
+                    u[k] = info["values"]
                     work["factorizations"] += info["factorizations"]
                     work["newton_iterations"] += info["iterations"]
                     a.append(value)
@@ -484,7 +504,8 @@ class _BoundaryData:
     with points, the columns of an (n, k) array, the object returns the
     slopes on each point's nearest edge, (n-p, p, k) (the lookup that
     :func:`graph_slopes_fn` hands to the fields); the re-fit asks for
-    arrays of run-parameters on a known edge.
+    arrays of run-parameters on a known edge, and for values only off the
+    grid ticks, where each grid's own ring holds them (:func:`_edge_samples`).
     """
 
     def __init__(self, graph: GridGraph, boundary_data=None):
@@ -523,17 +544,21 @@ class _BoundaryData:
             return np.array([self._dirichlet(xk) for xk in x])
         return self._interp(edge, 0, x[:, edge.run_axis])
 
-    def points(self, edge: _Edge, r):
-        """Base points (k, 2) and fiber values (k, n-p) at run-parameters r."""
+    def base_points(self, edge: _Edge, r) -> np.ndarray:
+        """Base points (k, 2) at run-parameters r of ``edge``."""
         x = np.empty((len(r), 2))
         x[:, edge.run_axis] = r
         x[:, edge.normal_axis] = self.domain[edge.normal_axis][edge.side]
+        return x
+
+    def points(self, edge: _Edge, r):
+        """Base points (k, 2) and fiber values (k, n-p) at run-parameters r."""
+        x = self.base_points(edge, r)
         return x, self.values(edge, x)
 
     def end_point(self, side: int):
-        """(p = 1) Base point and fiber value at an endpoint."""
-        x = np.array([self.domain[0][side]])
-        return x, self.end_values[side] if self.dirichlet is None else self._dirichlet(x)
+        """(p = 1) Base point and ring value at an endpoint."""
+        return np.array([self.domain[0][side]]), self.end_values[side]
 
     def _dirichlet(self, x):
         return np.broadcast_to(np.asarray(self.dirichlet(x), dtype=float), (self.codim,))
@@ -548,33 +573,35 @@ class _BoundaryData:
         return (coeffs @ powers.reshape(len(u), *(1,) * (coeffs.ndim - 3), 4, 1))[..., 0]
 
 
-def _edge_samples(bd: _BoundaryData, spec, resolution):
-    """The boundary motion, sampled once per report and resolution.
+def _edge_samples(bd: _BoundaryData, spec, graph: GridGraph):
+    """The boundary motion, sampled once per report on a level's ``graph``.
 
     Per end (p = 1) or edge (p = 2), keyed by edge name: base points and
     fiber values at the grid ticks, their velocities in t, (p = 2) the
     displacement's jumps (2, n) at the corners against the edge's
     one-sided limit, extrapolated by the parabola through three points
     inside (O(_CORNER_OFFSET^3) if smooth), and the raw displacements
-    (k, n) at the ticks, for the boundary formula.  A node follows its
+    (k, n) at the ticks, for the boundary formula.  The values at the
+    ticks are the graph's own ring, which ``solve_dirichlet`` sampled
+    from the same data at the same points; ``bd`` samples the data only
+    at the corner offsets.  A node follows its
     boundary point, but an along-edge jump (a slide) is spread linearly
     over the interior nodes, whose data the t = 0 slopes carry along: a
     slid corner stretches the whole edge.
     """
-    if bd.p == 1:
-        samples = {}
-        for edge in _EDGES[:2]:
-            x, z = bd.end_point(edge.side)
-            d = spec.displacements(np.concatenate([x, z])[:, None])[:, 0]
-            samples[edge.name] = (x, z, d[:1], d[1:], d[None])
-        return samples
-    axes = grid_axes(bd.domain, resolution)
-    samples = {}
-    for edge in _EDGES:
+    axes, samples = graph.axes, {}
+    for edge in _EDGES[: 2 * graph.p]:
+        ring = graph.boundary_data[edge.ring_indexer(graph.resolution)]
+        if graph.p == 1:
+            x = np.array([bd.domain[0][edge.side]])
+            d = spec.displacements(np.concatenate([x, ring])[:, None])[:, 0]
+            samples[edge.name] = (x, ring, d[:1], d[1:], d[None])
+            continue
         run = edge.run_axis
         r, k, (lo, hi) = axes[run], len(axes[run]), bd.domain[run]
         eps = _CORNER_OFFSET * (hi - lo) * np.arange(1.0, 4.0)
-        x, z = bd.points(edge, np.concatenate([r, lo + eps, hi - eps]))
+        x = bd.base_points(edge, np.concatenate([r, lo + eps, hi - eps]))
+        z = np.concatenate([ring, bd.values(edge, x[k:])])
         d = np.ascontiguousarray(spec.displacements(np.concatenate([x.T, z.T])).T)
         limits = 3.0 * d[[k, k + 3]] - 3.0 * d[[k + 1, k + 4]] + d[[k + 2, k + 5]]
         jumps = d[[0, k - 1]] - limits
@@ -641,8 +668,11 @@ def _level(L, graph: GridGraph, factored=False) -> _Level:
     graph's values (None where singular), the re-solves' chord factor.
     Raises :class:`NotCritical` off shell, where the formula is invalid.
     """
-    A = action(L, graph).value
-    res = float(np.max(np.abs(el_residual(L, graph))))
+    cells = _CellScheme(L, graph.domain, graph.resolution)
+    grad, A = cells.gradient(graph.values)  # A as action(L, graph) gives it
+    if not np.isfinite(A):
+        raise NonFinite("action evaluated non-finite")
+    res = float(np.max(np.abs(grad[(slice(1, -1),) * graph.p]))) / cells.cell_volume
     if res > 1e-10 * (1.0 + abs(A)):
         raise NotCritical(
             f"graph residual {res:.3e} exceeds 1e-10*(1+|A|); formula is off-shell"
@@ -662,18 +692,22 @@ def _level(L, graph: GridGraph, factored=False) -> _Level:
         ends.append((2.0 * edge.side - 1.0, edge.normal_axis, ticks, quadrature))
     factor = None
     if factored:
-        factor = _factorize(_CellScheme(L, graph.domain, graph.resolution), graph.values, _SolveCounters())
+        factor = _factorize(cells, graph.values, _SolveCounters())
     return _Level(graph, A, ends, factor)
 
 
-def _deformed_action(L, level: _Level, samples, t):
+def _deformed_action(L, level: _Level, samples, t, init=None):
     """The re-solved action at offset t on the level's grid, and the
-    re-solve's ``GridGraph.info``; ``samples`` are the motion's on that grid."""
+    re-solve's ``GridGraph.info`` with its node values under ``"values"``;
+    ``samples`` are the motion's on that grid.  Newton starts from the
+    interior of ``init`` (default: the level's base values) on the
+    level's shared factor."""
     domain, resolution = level.graph.domain, level.graph.resolution
     L_t, ring, domain_t = _deformed_problem(L, samples, domain, resolution, t)
     bvals = _boundary_array(L_t, ring, domain_t, resolution)  # finite, as solve_dirichlet asks
-    graph = _solve(L_t, bvals, domain_t, resolution, level.graph.values, factor=level.factor)
-    return action(L_t, graph).value, graph.info
+    init = level.graph.values if init is None else init
+    graph = _solve(L_t, bvals, domain_t, resolution, init, factor=level.factor)
+    return action(L_t, graph).value, {**graph.info, "values": graph.values}
 
 
 def _deformed_problem(L, samples, domain, resolution, t):

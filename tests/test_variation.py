@@ -92,14 +92,14 @@ def test_torn_corner_reads_inconclusive(res):
         lambda m: np.sin(20.0 * np.pi * m[0] + 1.0),
     ):
         spec = va.DeformationSpec(direction=field, intensity=psi)
-        assert not va._corner_tear(va._edge_samples(bd, spec, base.resolution))
+        assert not va._corner_tear(va._edge_samples(bd, spec, base))
 
 
 def test_deformed_problem_is_the_box_at_t_zero(flat_base):
     # at t = 0 the pulled-back Lagrangian has the original integrand and the
     # ring is the base's; the re-solve gives the base action
     spec = va.DeformationSpec(direction=lambda m: np.array([0.0, 0.0, 1.0]))
-    samples = va._edge_samples(va._BoundaryData(flat_base, flat), spec, (9, 9))
+    samples = va._edge_samples(va._BoundaryData(flat_base, flat), spec, solve_dirichlet(L3, flat, DOM, 9))
     L_t, ring, domain_t = va._deformed_problem(L3, samples, DOM, (9, 9), 0.0)
     assert domain_t == DOM and ring.shape == (9, 9, 1) and not np.any(ring)
     level = va._level(L3, solve_dirichlet(L3, flat, DOM, 9), factored=True)
@@ -441,7 +441,7 @@ def test_deformed_resolves_match_cold_solves_on_the_shared_factor(L, bc, domain)
     assert diag["newton_iterations"] >= 8
     bd = va._BoundaryData(base, bc)
     for level, res in enumerate(diag["grid_pair"], start=1):
-        samples = va._edge_samples(bd, spec, res)
+        samples = va._edge_samples(bd, spec, solve_dirichlet(L, bc, domain, res))
         for t, actions in diag["actions"].items():
             L_t, ring, domain_t = va._deformed_problem(L, samples, domain, res, t)
             cold = action(L_t, solve_dirichlet(L_t, ring, domain_t, res)).value
@@ -457,7 +457,7 @@ def test_poor_shared_factor_is_refactored_and_counted(scherk_base):
         direction=va.frame_field(L3, va.graph_slopes_fn(scherk_base)),
         intensity=va.random_intensity(np.random.default_rng(12), 3),
     )
-    samples = va._edge_samples(va._BoundaryData(scherk_base, _scherk), spec, scherk_base.resolution)
+    samples = va._edge_samples(va._BoundaryData(scherk_base, _scherk), spec, scherk_base)
     good = va._level(L3, scherk_base, factored=True)
     cells = extremal._CellScheme(lag.dirichlet(3, 2), domain, scherk_base.resolution)
     poor = good._replace(factor=extremal._factorize(cells, scherk_base.values, extremal._SolveCounters()))
@@ -467,6 +467,67 @@ def test_poor_shared_factor_is_refactored_and_counted(scherk_base):
     assert good_info["factorizations"] == 0
     assert poor_info["converged"] and poor_info["factorizations"] >= 1
     assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+
+def _scherk_slopes(point):
+    return np.array([[-np.tan(point[0]), np.tan(point[1])]])
+
+
+# The last two numbers: the rows' Newton iterations with every re-solve
+# started from its level's base values, as before the +-2h starts were
+# predicted (38 and 38 at that commit).
+@pytest.mark.parametrize(
+    "L, bc, domain, slopes, weights, cold_iterations",
+    [
+        (L3, _scherk, ((-0.5, 0.5), (-0.5, 0.5)), _scherk_slopes, None, 38),
+        (lag.area_graph_gram(4, 2), _tilted, DOM, None, [1.0, 0.0], 38),
+    ],
+    ids=["scherk-analytic-frame", "gram4.2-tilted-frame:1"],
+)
+def test_predicted_starts_cut_newton_work_and_keep_dA_dt(
+    L, bc, domain, slopes, weights, cold_iterations, monkeypatch
+):
+    # the +-2h re-solves start from the polynomial in t through the base
+    # and the +-h solutions: fewer Newton iterations, the same central
+    # value bit for bit (+-h still start from the base), and the fourth-
+    # order value within Newton's tolerance of the cold starts'
+    base = solve_dirichlet(L, bc, domain, 33)
+    field = va.frame_field(L, slopes or va.graph_slopes_fn(base), weights=weights)
+    spec = va.DeformationSpec(direction=field, intensity=va.random_intensity(np.random.default_rng(17), L.n))
+    (row,) = va.normality_scan(L, base, [("frame", spec)], boundary_data=bc)
+    monkeypatch.setattr(va, "_RESOLVES", tuple((k, lambda u: u[0]) for k, _ in va._RESOLVES))
+    (cold,) = va.normality_scan(L, base, [("frame", spec)], boundary_data=bc)
+    assert cold.report.diagnostics["newton_iterations"] == cold_iterations
+    assert row.report.diagnostics["newton_iterations"] < cold_iterations
+    assert row.report.dA_dt == cold.report.dA_dt
+    assert row.report.boundary_formula_value == cold.report.boundary_formula_value
+    assert row.report.classification == cold.report.classification
+    assert abs(row.report.dA_dt_order4 - cold.report.dA_dt_order4) <= 1e-12
+
+
+def test_edge_samples_call_the_data_only_off_the_ticks(scherk_base):
+    # the values at a level's ticks come from that level's ring, which
+    # solve_dirichlet sampled from the same callable at the same points:
+    # bit for bit the callable's values there; the callable itself is
+    # called at the six corner offsets of each edge only
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _scherk(x)
+
+    bd = va._BoundaryData(scherk_base, counted)
+    spec = va.DeformationSpec(
+        direction=va.frame_field(L3, va.graph_slopes_fn(scherk_base)),
+        intensity=va.random_intensity(np.random.default_rng(14), 3),
+    )
+    for graph in (scherk_base, solve_dirichlet(L3, _scherk, scherk_base.domain, 17)):
+        calls.clear()
+        samples = va._edge_samples(bd, spec, graph)
+        assert len(calls) == 6 * len(va._EDGES)
+        for edge in va._EDGES:
+            x, z = samples[edge.name][:2]
+            assert np.array_equal(z, np.array([[_scherk(xk)] for xk in x]))
 
 
 def test_chart_exit_row_reads_the_extrapolated_formula(scherk_base):
