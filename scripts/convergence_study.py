@@ -56,8 +56,8 @@ def main(resolutions):
         # single-grid central difference of the deformed actions: its bias
         # is the discretization floor the oracle extrapolates away.  The
         # re-solves start from sol on its Hessian factor, as in the oracle.
-        level = _level(L, sol, factored=True)
-        samples = _edge_samples(_BoundaryData(sol, scherk), spec, sol)
+        level = _level(L, sol, _BoundaryData(sol, scherk), factored=True)
+        samples = _edge_samples(level, spec)
         h = 2.5e-4 * np.sqrt(2.0)
         a_plus, _ = _deformed_action(L, level, samples, h)
         a_minus, _ = _deformed_action(L, level, samples, -h)

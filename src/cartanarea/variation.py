@@ -26,19 +26,20 @@ the one at -2h from the cubic through those and the +2h solution.  Each
 keeps its grid's factor as its chord factor: the chord steps contract
 by O(t), and the re-solves factor nothing.
 
-One boundary sampler per graph (:class:`_BoundaryData`) holds the
-Dirichlet data (the user's callable, else the ring values) and the ring
-slopes, interpolates them along each edge by local cubics that are exact
-at the nodes, and serves the graph-slope lookup of the fields.  Each
-report samples the boundary motion once per grid (:func:`_edge_samples`),
-taking the data at the grid ticks from that grid's own ring, and that
-one sample feeds the re-fit, the corner-tear check and the boundary
-formula.  Fields, intensities and slope lookups take the points
-as the columns of an (n, k) array, coordinate i in row i, as
-``LagrangianField.func`` does, and are called once per edge.  A corner
-whose displacement leaves a neighbouring edge's limit normal to that
-edge tears off it; no re-fit closes that gap uniquely, so such a row
-reads ``inconclusive`` (``corner-tear``).
+Each grid reads its boundary once, when its level is built
+(:func:`_level`): per end or edge, the ring's base points, values and
+slopes at the ticks, the formula's momenta there and, for p = 2, the
+data at three points inside each corner and the base's slopes along the
+edge, both from one sampler per base (:class:`_BoundaryData`: the
+Dirichlet callable, else the base's ring, by local cubics exact at the
+nodes).  A report samples only the motion, once per grid
+(:func:`_edge_samples`); that sample feeds the re-fit, the corner-tear
+check and the boundary formula.  Fields, intensities and slope lookups
+take the points as the columns of an (n, k) array, coordinate i in row
+i, as ``LagrangianField.func`` does, and are called once per edge.  A
+corner whose displacement leaves a neighbouring edge's limit normal to
+that edge tears off it; no re-fit closes that gap uniquely, so such a
+row reads ``inconclusive`` (``corner-tear``).
 
 A frame, tangent or Euclidean-normal field built from the solved graph's
 own slopes carries their O(h^2) error, so a field that is normal in the
@@ -66,12 +67,12 @@ from .extremal import (
     _require_dual,
     _solve,
     _SolveCounters,
-    action,
     halved_resolution,
     node_slopes,
     solve_dirichlet,
 )
-# cartan_frame and grad_q are not called here; tracers patch them by name.
+# action, cartan_frame and grad_q are not called here; tracers patch them by name.
+from .extremal import action  # noqa: F401
 from .frames import _closed_form, boundary_flux, cartan_frame  # noqa: F401
 from .lagrangian import LagrangianField, _first_derivative, grad_q  # noqa: F401
 
@@ -113,7 +114,8 @@ class DeformationSpec:
     or one n-vector for every point; ``intensity`` returns k values, or is
     a constant.  ``step`` is the finite-difference stencil half-width in
     t, finite and positive; None picks DEFAULT_STEP_FACTOR times the
-    domain diameter.
+    domain diameter.  A displacement that evaluates non-finite raises
+    :class:`NonFinite`.
     """
 
     direction: Callable
@@ -128,16 +130,21 @@ class DeformationSpec:
     def displacements(self, points) -> np.ndarray:
         """psi * X at the columns of ``points`` (n, k), as an (n, k) array."""
         n, k = points.shape
-        direction = np.asarray(self.direction(points), dtype=float)
-        direction = direction[:, None] if direction.shape == (n,) else direction
-        psi = np.asarray(self.intensity(points) if callable(self.intensity) else self.intensity, dtype=float)
-        try:
-            return np.broadcast_to(psi, (k,)) * np.broadcast_to(direction, (n, k))
-        except ValueError:
-            raise ValueError(
-                f"for points (n, k) = {(n, k)} the direction gave shape {direction.shape} and the "
-                f"intensity {psi.shape}; they must broadcast to (n, k) and (k,)"
-            ) from None
+        # Faults show as non-finite values, which the check below rejects.
+        with np.errstate(all="ignore"):
+            direction = np.asarray(self.direction(points), dtype=float)
+            direction = direction[:, None] if direction.shape == (n,) else direction
+            psi = np.asarray(self.intensity(points) if callable(self.intensity) else self.intensity, dtype=float)
+            try:
+                d = np.broadcast_to(psi, (k,)) * np.broadcast_to(direction, (n, k))
+            except ValueError:
+                raise ValueError(
+                    f"for points (n, k) = {(n, k)} the direction gave shape {direction.shape} and the "
+                    f"intensity {psi.shape}; they must broadcast to (n, k) and (k,)"
+                ) from None
+        if not np.all(np.isfinite(d)):
+            raise NonFinite("deformation evaluated non-finite")
+        return d
 
 
 @dataclass
@@ -165,8 +172,7 @@ def first_variation_fd(L, boundary_data, domain, resolution, spec: DeformationSp
     other; they run sequentially so the report is deterministic.
     """
     base = solve_dirichlet(L, boundary_data, domain, resolution)
-    bd = _BoundaryData(base, boundary_data)
-    return _variation_from_base(L, bd, _levels(L, base, bd), spec)
+    return _variation_from_base(L, _levels(L, base, boundary_data), spec)
 
 
 def first_variation_boundary(L, graph: GridGraph, spec: DeformationSpec) -> float:
@@ -179,7 +185,8 @@ def first_variation_boundary(L, graph: GridGraph, spec: DeformationSpec) -> floa
     integration keep the formula's bias below the re-solve oracle's.
     Raises :class:`NotCritical` off shell, where the formula is invalid.
     """
-    return _formula([_level(L, graph)], [_edge_samples(_BoundaryData(graph), spec, graph)])
+    level = _level(L, graph, _BoundaryData(graph))
+    return _formula([level], [_edge_samples(level, spec)])
 
 
 @dataclass
@@ -199,14 +206,13 @@ def normality_scan(L, graph: GridGraph, candidate_fields, boundary_data=None) ->
     The graph's mesh-halved solves, shared factors and boundary momenta
     are built once, by the first row, and serve every row (:func:`_levels`).
     """
-    bd = _BoundaryData(graph, boundary_data)
     levels = None  # built by the first row; a failed build is retried by the next
     rows = []
     for name, spec in candidate_fields:
         try:
             if levels is None:
-                levels = _levels(L, graph, bd)
-            report = _variation_from_base(L, bd, levels, spec)
+                levels = _levels(L, graph, boundary_data)
+            report = _variation_from_base(L, levels, spec)
             rows.append(ScanRow(name=name, report=report))
         except (NoConvergence, ChartExit, NonFinite, SingularJacobian) as exc:
             rows.append(ScanRow(name=name, report=None, note=f"inconclusive: {type(exc).__name__}: {exc}"))
@@ -321,7 +327,7 @@ def edge_indicator(domain, side: str, rel_tol: float = 1e-9) -> Callable:
 # Internals
 
 
-def _variation_from_base(L, bd, levels, spec: DeformationSpec) -> VariationReport:
+def _variation_from_base(L, levels, spec: DeformationSpec) -> VariationReport:
     """Difference deformed actions in t, with two-grid error control.
 
     The O(h^2) bias of the discrete minima does not cancel in the
@@ -350,7 +356,7 @@ def _variation_from_base(L, bd, levels, spec: DeformationSpec) -> VariationRepor
     """
     base, A0 = levels[0].graph, levels[0].A
     domain, resolution = base.domain, base.resolution
-    sample = lambda s: [_edge_samples(bd, s, lv.graph) for lv in levels]
+    sample = lambda s: [_edge_samples(lv, s) for lv in levels]
     samples = sample(spec)
     bval = _formula(levels, samples)
     coarse_res = levels[1].graph.resolution if len(levels) > 1 else None
@@ -437,15 +443,16 @@ def formula_budget(dA_dt, A0):
 
 
 def _formula(levels, samples):
-    """The boundary formula on each level, its momenta (:func:`_level`)
-    paired with the raw tick displacements of that level's sample of the
-    motion (:func:`_edge_samples`), Richardson-extrapolated over the base
-    and its mesh-halved solves, finest first (:func:`_levels`)."""
+    """The boundary formula on each level, the momenta of its faces
+    (:func:`_level`) paired with the raw tick displacements of that
+    level's sample of the motion (:func:`_edge_samples`),
+    Richardson-extrapolated over the base and its mesh-halved solves,
+    finest first (:func:`_levels`)."""
     b = []
     for level, motion in zip(levels, samples):
         b.append(0.0)
-        for (nu, axis, ticks, quadrature), (*_, d) in zip(level.ends, motion.values()):
-            b[-1] += quadrature(nu * boundary_flux(*ticks, d)[:, axis])
+        for (*_, nu, axis, flux, quadrature), (*_, d) in zip(level.faces, motion.values()):
+            b[-1] += quadrature(nu * boundary_flux(*flux, d)[:, axis])
     level1 = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(b, b[1:])] or [b[0]]
     return level1[0] if len(level1) == 1 else (8.0 * level1[0] - level1[1]) / 7.0
 
@@ -481,7 +488,7 @@ class _Edge:
     run_axis: int
 
     def ring_indexer(self, resolution):
-        idx = [slice(None), slice(None)]
+        idx = [slice(None)] * len(resolution)
         idx[self.normal_axis] = 0 if self.side == 0 else resolution[self.normal_axis] - 1
         return tuple(idx)
 
@@ -495,17 +502,17 @@ _EDGES = (
 
 
 class _BoundaryData:
-    """Dirichlet values and slopes of a graph on its box boundary.
+    """Dirichlet values and slopes of a base graph on its box boundary.
 
-    Built once per graph.  Values come from the user's Dirichlet callable
+    Built once per base.  Values come from the user's Dirichlet callable
     when one is given, else from the ring values; slopes come from the
     ring of :func:`node_slopes`.  Along an edge both are interpolated by
     the local cubics of :func:`_cubic_table`, exact at the nodes.  Called
     with points, the columns of an (n, k) array, the object returns the
     slopes on each point's nearest edge, (n-p, p, k) (the lookup that
-    :func:`graph_slopes_fn` hands to the fields); the re-fit asks for
-    arrays of run-parameters on a known edge, and for values only off the
-    grid ticks, where each grid's own ring holds them (:func:`_edge_samples`).
+    :func:`graph_slopes_fn` hands to the fields).  Each level of the base
+    (:func:`_level`) reads from it the data at its corner offsets, off
+    the grid ticks, and the base's slopes at its own ticks.
     """
 
     def __init__(self, graph: GridGraph, boundary_data=None):
@@ -514,7 +521,7 @@ class _BoundaryData:
         self.dirichlet = boundary_data if callable(boundary_data) else None
         slopes = node_slopes(graph)
         if graph.p == 1:
-            self.end_values, self.end_slopes = graph.values[[0, -1]], slopes[[0, -1]]
+            self.end_slopes = slopes[[0, -1]]
             return
         self.ticks, self.steps = graph.axes, graph.steps
         self.tables = {}
@@ -551,15 +558,6 @@ class _BoundaryData:
         x[:, edge.normal_axis] = self.domain[edge.normal_axis][edge.side]
         return x
 
-    def points(self, edge: _Edge, r):
-        """Base points (k, 2) and fiber values (k, n-p) at run-parameters r."""
-        x = self.base_points(edge, r)
-        return x, self.values(edge, x)
-
-    def end_point(self, side: int):
-        """(p = 1) Base point and ring value at an endpoint."""
-        return np.array([self.domain[0][side]]), self.end_values[side]
-
     def _dirichlet(self, x):
         return np.broadcast_to(np.asarray(self.dirichlet(x), dtype=float), (self.codim,))
 
@@ -573,45 +571,38 @@ class _BoundaryData:
         return (coeffs @ powers.reshape(len(u), *(1,) * (coeffs.ndim - 3), 4, 1))[..., 0]
 
 
-def _edge_samples(bd: _BoundaryData, spec, graph: GridGraph):
-    """The boundary motion, sampled once per report on a level's ``graph``.
+def _edge_samples(level, spec):
+    """The boundary motion, sampled once per report on a level's faces.
 
-    Per end (p = 1) or edge (p = 2), keyed by edge name: base points and
-    fiber values at the grid ticks, their velocities in t, (p = 2) the
-    displacement's jumps (2, n) at the corners against the edge's
-    one-sided limit, extrapolated by the parabola through three points
-    inside (O(_CORNER_OFFSET^3) if smooth), and the raw displacements
-    (k, n) at the ticks, for the boundary formula.  The values at the
-    ticks are the graph's own ring, which ``solve_dirichlet`` sampled
-    from the same data at the same points; ``bd`` samples the data only
-    at the corner offsets.  A node follows its
-    boundary point, but an along-edge jump (a slide) is spread linearly
-    over the interior nodes, whose data the t = 0 slopes carry along: a
-    slid corner stretches the whole edge.
+    Per end (p = 1) or edge (p = 2), keyed by edge name: the face's base
+    points and fiber values at the grid ticks (:func:`_level`), their
+    velocities in t, (p = 2) the displacement's jumps (2, n) at the
+    corners against the edge's one-sided limit, extrapolated by the
+    parabola through the face's three points inside
+    (O(_CORNER_OFFSET^3) if smooth), and the raw displacements (k, n) at
+    the ticks, for the boundary formula.  Only ``spec`` is evaluated
+    here, once per face.  A node follows its boundary point, but an
+    along-edge jump (a slide) is spread linearly over the interior
+    nodes, whose data the base's t = 0 slopes along the edge carry
+    along: a slid corner stretches the whole edge.
     """
-    axes, samples = graph.axes, {}
-    for edge in _EDGES[: 2 * graph.p]:
-        ring = graph.boundary_data[edge.ring_indexer(graph.resolution)]
-        if graph.p == 1:
-            x = np.array([bd.domain[0][edge.side]])
-            d = spec.displacements(np.concatenate([x, ring])[:, None])[:, 0]
-            samples[edge.name] = (x, ring, d[:1], d[1:], d[None])
+    samples = {}
+    for edge, (x, z, points, along, *_) in zip(_EDGES, level.faces):
+        d = np.ascontiguousarray(spec.displacements(points).T)
+        k, p = x.shape
+        if along is None:
+            samples[edge.name] = (x, z, d[:, :p], d[:, p:], d)
             continue
         run = edge.run_axis
-        r, k, (lo, hi) = axes[run], len(axes[run]), bd.domain[run]
-        eps = _CORNER_OFFSET * (hi - lo) * np.arange(1.0, 4.0)
-        x = bd.base_points(edge, np.concatenate([r, lo + eps, hi - eps]))
-        z = np.concatenate([ring, bd.values(edge, x[k:])])
-        d = np.ascontiguousarray(spec.displacements(np.concatenate([x.T, z.T])).T)
         limits = 3.0 * d[[k, k + 3]] - 3.0 * d[[k + 1, k + 4]] + d[[k + 2, k + 5]]
         jumps = d[[0, k - 1]] - limits
         u = np.linspace(0.0, 1.0, k)
         shift = (1.0 - u) * jumps[0, run] + u * jumps[1, run]
         shift[[0, -1]] = 0.0
-        vx = d[:k, :2].copy()
+        vx = d[:k, :p].copy()
         vx[:, run] += shift
-        vz = d[:k, 2:] + bd.slopes(edge, r)[..., run] * shift[:, None]
-        samples[edge.name] = (x[:k], z[:k], vx, vz, jumps, d[:k])
+        vz = d[:k, p:] + along * shift[:, None]
+        samples[edge.name] = (x, z, vx, vz, jumps, d[:k])
     return samples
 
 
@@ -628,25 +619,28 @@ def _corner_tear(samples) -> bool:
 
 
 class _Level(NamedTuple):
-    """One grid of a base: the solved graph, its action, the formula's
-    momenta (:func:`_level`) and the re-solves' shared Hessian factor."""
+    """One grid of a base: the solved graph, its action, its boundary
+    faces (:func:`_level`) and the re-solves' shared Hessian factor."""
 
     graph: GridGraph
     A: float
-    ends: list
+    faces: list
     factor: object
 
 
-def _levels(L, base: GridGraph, bd: _BoundaryData) -> list:
+def _levels(L, base: GridGraph, boundary_data) -> list:
     """The base and up to two mesh-halved solves of its problem, finest first.
 
     The oracle re-solves on the first two, which carry a factor; the
     boundary formula, whose bias (one-sided slopes of the discrete solve,
     with corner pollution) needs two extrapolation levels to come out
     below the oracle's noise, reads all three.  Coarse data are the
-    user's callable, else the base nodes the coarser grid keeps.
+    user's callable, else the base nodes the coarser grid keeps.  Every
+    level reads its corner data and the base's slopes from one boundary
+    sampler of the base.
     """
     _require_dual(L)
+    bd = _BoundaryData(base, boundary_data)
     graphs = [base]
     for stride in (2, 4):
         res = halved_resolution(graphs[-1].resolution)
@@ -656,17 +650,23 @@ def _levels(L, base: GridGraph, bd: _BoundaryData) -> list:
         if data is None:
             data = base.values[(slice(None, None, stride),) * base.p]
         graphs.append(solve_dirichlet(L, data, base.domain, res))
-    return [_level(L, graph, factored=k < 2) for k, graph in enumerate(graphs)]
+    return [_level(L, graph, bd, factored=k < 2) for k, graph in enumerate(graphs)]
 
 
-def _level(L, graph: GridGraph, factored=False) -> _Level:
-    """The level of a critical graph.  Its ``ends`` hold, per end or edge in
-    the order of :func:`_edge_samples`: the outward sign, the base normal's
-    axis, (dL/dq, L, q) stacked over the grid ticks on a leading axis, as
-    :func:`boundary_flux` takes them, and the quadrature along the edge.
-    ``factored`` adds the SuperLU factor of L's interior Hessian at the
-    graph's values (None where singular), the re-solves' chord factor.
-    Raises :class:`NotCritical` off shell, where the formula is invalid.
+def _level(L, graph: GridGraph, bd: _BoundaryData, factored=False) -> _Level:
+    """The level of a critical graph, its boundary read once.
+
+    Its ``faces`` hold, per end or edge in ``_EDGES`` order: the base
+    points (k, p) and ring values (k, n-p) at the grid ticks; the points
+    (n, k') at which :func:`_edge_samples` evaluates the motion, the
+    ticks and (p = 2) three points inside each corner, with data from
+    the base's sampler ``bd``; (p = 2, else None) the base's slopes along
+    the edge at the ticks; the outward sign and the normal's axis;
+    (dL/dq, L, q) at the ticks, stacked as :func:`boundary_flux` takes
+    them; and the quadrature along the edge.  ``factored`` adds the
+    SuperLU factor of L's interior Hessian at the graph's values (None
+    where singular), the re-solves' chord factor.  Raises
+    :class:`NotCritical` off shell, where the formula is invalid.
     """
     cells = _CellScheme(L, graph.domain, graph.resolution)
     grad, A = cells.gradient(graph.values)  # A as action(L, graph) gives it
@@ -677,23 +677,27 @@ def _level(L, graph: GridGraph, factored=False) -> _Level:
         raise NotCritical(
             f"graph residual {res:.3e} exceeds 1e-10*(1+|A|); formula is off-shell"
         )
-    bd = _BoundaryData(graph)
-    ends = []
+    nodes = np.stack(np.meshgrid(*graph.axes, indexing="ij"), axis=-1)
+    arrays = (nodes, graph.values, node_slopes(graph))
+    faces = []
     for edge in _EDGES[: 2 * graph.p]:
-        if graph.p == 1:
-            x, z = bd.end_point(edge.side)
-            x, z, q, quadrature = x[None], z[None], bd.end_slopes[edge.side][None], lambda v: v[0]
-        else:
-            r = graph.axes[edge.run_axis]
-            (x, z), q = bd.points(edge, r), bd.slopes(edge, r)
-            quadrature = functools.partial(_simpson, h=graph.steps[edge.run_axis])
+        ring = edge.ring_indexer(graph.resolution)
+        x, z, q = (a[ring].reshape(-1, *a.shape[graph.p :]) for a in arrays)
         value, momenta = _first_derivative(L, x.T, z.T, np.moveaxis(q, 0, -1), 2)
-        ticks = (np.ascontiguousarray(np.moveaxis(momenta, -1, 0)), value, q)
-        ends.append((2.0 * edge.side - 1.0, edge.normal_axis, ticks, quadrature))
+        flux = (np.ascontiguousarray(np.moveaxis(momenta, -1, 0)), value, q)
+        points, along, quadrature = np.concatenate([x.T, z.T]), None, lambda v: v[0]
+        if graph.p == 2:
+            run, (lo, hi) = edge.run_axis, graph.domain[edge.run_axis]
+            eps = _CORNER_OFFSET * (hi - lo) * np.arange(1.0, 4.0)
+            inside = bd.base_points(edge, np.concatenate([lo + eps, hi - eps]))
+            points = np.concatenate([points, np.concatenate([inside.T, bd.values(edge, inside).T])], axis=1)
+            along = bd.slopes(edge, x[:, run])[..., run]
+            quadrature = functools.partial(_simpson, h=graph.steps[run])
+        faces.append((x, z, points, along, 2.0 * edge.side - 1.0, edge.normal_axis, flux, quadrature))
     factor = None
     if factored:
         factor = _factorize(cells, graph.values, _SolveCounters())
-    return _Level(graph, A, ends, factor)
+    return _Level(graph, A, faces, factor)
 
 
 def _deformed_action(L, level: _Level, samples, t, init=None):
@@ -701,13 +705,15 @@ def _deformed_action(L, level: _Level, samples, t, init=None):
     re-solve's ``GridGraph.info`` with its node values under ``"values"``;
     ``samples`` are the motion's on that grid.  Newton starts from the
     interior of ``init`` (default: the level's base values) on the
-    level's shared factor."""
+    level's shared factor, and its last action is the one returned."""
     domain, resolution = level.graph.domain, level.graph.resolution
     L_t, ring, domain_t = _deformed_problem(L, samples, domain, resolution, t)
     bvals = _boundary_array(L_t, ring, domain_t, resolution)  # finite, as solve_dirichlet asks
     init = level.graph.values if init is None else init
     graph = _solve(L_t, bvals, domain_t, resolution, init, factor=level.factor)
-    return action(L_t, graph).value, {**graph.info, "values": graph.values}
+    if not np.isfinite(graph.info["action"]):
+        raise NonFinite("action evaluated non-finite")
+    return graph.info["action"], {**graph.info, "values": graph.values}
 
 
 def _deformed_problem(L, samples, domain, resolution, t):
@@ -718,21 +724,19 @@ def _deformed_problem(L, samples, domain, resolution, t):
     curves.
     """
     ring = np.zeros((*resolution, L.codim))
+    curves = {}
+    for edge in _EDGES[: 2 * L.p]:
+        x, z, vx, vz, *_ = samples[edge.name]
+        curves[edge.name] = x + t * vx
+        ring[edge.ring_indexer(resolution)] = z + t * vz
     if L.p == 1:
-        ends = []
-        for side, (x, z, vx, vz, _) in enumerate(samples.values()):
-            ends.append(x[0] + t * vx[0])
-            ring[(0, -1)[side]] = z + t * vz
+        ends = [curves[name][0, 0] for name in ("xmin", "xmax")]
         if not ends[0] < ends[1]:
             raise ChartExit(f"deformed interval degenerate: {ends}")
         return L, ring, (tuple(ends),)
-    curves = {}
     for edge in _EDGES:
-        x, z, vx, vz, *_ = samples[edge.name]
-        curves[edge.name] = x + t * vx
         if np.any(np.diff(curves[edge.name][:, edge.run_axis]) <= 0.0):
             raise ChartExit(f"deformed {edge.name} edge is not a graph over its axis")
-        ring[edge.ring_indexer(resolution)] = z + t * vz
     return _coons_pullback(L, domain, curves), ring, domain
 
 

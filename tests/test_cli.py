@@ -322,6 +322,22 @@ def test_non_finite_boundary_expression_is_a_usage_error(runner):
     assert "boundary data must be finite" in result.output
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # faults are silenced, not printed
+@pytest.mark.parametrize(
+    "fields", [["--field", "1/x1;0;0", "--field", "frame"], ["--field", "frame", "--psi", "log(x1)"]],
+    ids=["direction", "intensity"],
+)
+def test_non_finite_deformation_reads_inconclusive(runner, fields):
+    # the deformation is infinite on the xmin edge: its row reads the typed
+    # error, and the scan goes on
+    args = ["verify", "--lagrangian", "area3", "--boundary", "0", "--resolution", "9", *fields]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()[1:]
+    assert lines[0].endswith("inconclusive: NonFinite: deformation evaluated non-finite")
+    assert all(line.split()[-1] == "normal" for line in lines[1:])
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

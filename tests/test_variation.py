@@ -4,7 +4,7 @@ import pytest
 from cartanarea import lagrangian as lag
 from cartanarea import extremal
 from cartanarea import variation as va
-from cartanarea.errors import NotCritical
+from cartanarea.errors import NonFinite, NotCritical
 from cartanarea.extremal import action, make_graph, observed_orders, solve_dirichlet
 from cartanarea.frames import boundary_flux, cartan_frame, variational_frame
 from cartanarea.grassmann import GrassmannElement
@@ -92,17 +92,17 @@ def test_torn_corner_reads_inconclusive(res):
         lambda m: np.sin(20.0 * np.pi * m[0] + 1.0),
     ):
         spec = va.DeformationSpec(direction=field, intensity=psi)
-        assert not va._corner_tear(va._edge_samples(bd, spec, base))
+        assert not va._corner_tear(va._edge_samples(va._level(L3, base, bd), spec))
 
 
 def test_deformed_problem_is_the_box_at_t_zero(flat_base):
     # at t = 0 the pulled-back Lagrangian has the original integrand and the
     # ring is the base's; the re-solve gives the base action
     spec = va.DeformationSpec(direction=lambda m: np.array([0.0, 0.0, 1.0]))
-    samples = va._edge_samples(va._BoundaryData(flat_base, flat), spec, solve_dirichlet(L3, flat, DOM, 9))
+    level = va._level(L3, solve_dirichlet(L3, flat, DOM, 9), va._BoundaryData(flat_base, flat), factored=True)
+    samples = va._edge_samples(level, spec)
     L_t, ring, domain_t = va._deformed_problem(L3, samples, DOM, (9, 9), 0.0)
     assert domain_t == DOM and ring.shape == (9, 9, 1) and not np.any(ring)
-    level = va._level(L3, solve_dirichlet(L3, flat, DOM, 9), factored=True)
     value, info = va._deformed_action(L3, level, samples, 0.0)
     assert value == pytest.approx(1.0, abs=1e-14)
     assert info["iterations"] == 1 and info["factorizations"] == 0
@@ -143,6 +143,25 @@ def test_boundary_formula_requires_critical_graph():
     spec = va.DeformationSpec(direction=lambda m: np.array([0.0, 0.0, 1.0]))
     with pytest.raises(NotCritical):
         va.first_variation_boundary(L3, bad, spec)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # faults are silenced, not printed
+@pytest.mark.parametrize(
+    "direction, intensity",
+    [
+        (lambda m: np.array([1.0 / m[0], 0.0 * m[0], 0.0 * m[0]]), 1.0),
+        (lambda m: np.array([0.0, 0.0, 1.0]), lambda m: np.log(m[0])),
+    ],
+    ids=["direction", "intensity"],
+)
+def test_non_finite_deformation_raises_non_finite(flat_base, direction, intensity):
+    # both blow up on the xmin edge: each estimator raises the typed error
+    # rather than returning nan or failing in the re-fit
+    spec = va.DeformationSpec(direction=direction, intensity=intensity)
+    with pytest.raises(NonFinite, match="deformation evaluated non-finite"):
+        va.first_variation_boundary(L3, flat_base, spec)
+    with pytest.raises(NonFinite, match="deformation evaluated non-finite"):
+        va.first_variation_fd(L3, flat, DOM, 9, spec)
 
 
 def test_normality_scan_classifications(flat_base):
@@ -441,7 +460,7 @@ def test_deformed_resolves_match_cold_solves_on_the_shared_factor(L, bc, domain)
     assert diag["newton_iterations"] >= 8
     bd = va._BoundaryData(base, bc)
     for level, res in enumerate(diag["grid_pair"], start=1):
-        samples = va._edge_samples(bd, spec, solve_dirichlet(L, bc, domain, res))
+        samples = va._edge_samples(va._level(L, solve_dirichlet(L, bc, domain, res), bd), spec)
         for t, actions in diag["actions"].items():
             L_t, ring, domain_t = va._deformed_problem(L, samples, domain, res, t)
             cold = action(L_t, solve_dirichlet(L_t, ring, domain_t, res)).value
@@ -457,8 +476,8 @@ def test_poor_shared_factor_is_refactored_and_counted(scherk_base):
         direction=va.frame_field(L3, va.graph_slopes_fn(scherk_base)),
         intensity=va.random_intensity(np.random.default_rng(12), 3),
     )
-    samples = va._edge_samples(va._BoundaryData(scherk_base, _scherk), spec, scherk_base)
-    good = va._level(L3, scherk_base, factored=True)
+    good = va._level(L3, scherk_base, va._BoundaryData(scherk_base, _scherk), factored=True)
+    samples = va._edge_samples(good, spec)
     cells = extremal._CellScheme(lag.dirichlet(3, 2), domain, scherk_base.resolution)
     poor = good._replace(factor=extremal._factorize(cells, scherk_base.values, extremal._SolveCounters()))
     t = 1e-3
@@ -508,8 +527,9 @@ def test_predicted_starts_cut_newton_work_and_keep_dA_dt(
 def test_edge_samples_call_the_data_only_off_the_ticks(scherk_base):
     # the values at a level's ticks come from that level's ring, which
     # solve_dirichlet sampled from the same callable at the same points:
-    # bit for bit the callable's values there; the callable itself is
-    # called at the six corner offsets of each edge only
+    # bit for bit the callable's values there; building the level calls
+    # the callable at the six corner offsets of each edge only, and
+    # sampling the motion on it calls the callable not at all
     calls = []
 
     def counted(x):
@@ -523,8 +543,11 @@ def test_edge_samples_call_the_data_only_off_the_ticks(scherk_base):
     )
     for graph in (scherk_base, solve_dirichlet(L3, _scherk, scherk_base.domain, 17)):
         calls.clear()
-        samples = va._edge_samples(bd, spec, graph)
+        level = va._level(L3, graph, bd)
         assert len(calls) == 6 * len(va._EDGES)
+        calls.clear()
+        samples = va._edge_samples(level, spec)
+        assert not calls
         for edge in va._EDGES:
             x, z = samples[edge.name][:2]
             assert np.array_equal(z, np.array([[_scherk(xk)] for xk in x]))
@@ -662,8 +685,8 @@ def _boundary_points(base, bc):
     columns = []
     for edge in va._EDGES:
         r = np.concatenate([base.axes[edge.run_axis], np.random.default_rng(1).uniform(0.0, 1.0, 5)])
-        x, z = bd.points(edge, r)
-        columns.append(np.concatenate([x.T, z.T]))
+        x = bd.base_points(edge, r)
+        columns.append(np.concatenate([x.T, bd.values(edge, x).T]))
     return np.concatenate(columns, axis=1)
 
 
